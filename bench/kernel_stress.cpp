@@ -13,15 +13,7 @@
 //   contention  P processes fighting over a small Resource — FIFO handoff
 //               (release at now) plus short heap-ordered delays.
 //   timers      P processes sleeping for varied future deltas — the
-//               future-time path (timer-wheel tier).
-//   timers_bimodal  alternating short (1-16 ps) and long (10k-1M ps) sleeps —
-//               level-0 buckets interleaved with deep-level cascades.
-//   timers_far  beyond-horizon deltas (> 2^30 ps) — the binary-heap fallback
-//               behind the wheel.
-//
-// A second table ("scheduler microbench") isolates single scheduler
-// operations — post+fire through each tier — as ops/second, written to the
-// same JSON under "scheduler_microbench".
+//               binary-heap (future-time) path.
 //
 // Besides the human-readable table it writes BENCH_kernel.json (path
 // overridable via PIM_BENCH_JSON) so successive PRs have a machine-readable
@@ -132,92 +124,12 @@ uint64_t run_timers(Kernel& k, uint64_t procs, uint64_t iters) {
   return k.events_executed();
 }
 
-Process bimodal_proc(Kernel& k, uint64_t seed, uint64_t iters) {
-  // Alternating short/long sleeps: short deltas stay in wheel level 0, long
-  // ones land levels 2-3 deep and cascade down before firing.
-  uint64_t state = seed * 2654435761u + 1;
-  for (uint64_t i = 0; i < iters; ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    const Time d = (i & 1) ? 1 + (state >> 33) % 16
-                           : 10'000 + (state >> 33) % 990'000;
-    co_await k.delay(d);
-  }
-}
-
-uint64_t run_timers_bimodal(Kernel& k, uint64_t procs, uint64_t iters) {
-  for (uint64_t p = 0; p < procs; ++p) k.spawn(bimodal_proc(k, p, iters));
-  k.run();
-  return k.events_executed();
-}
-
-Process far_proc(Kernel& k, uint64_t seed, uint64_t iters) {
-  // Deltas beyond the wheel horizon (2^30 ps): every event takes the
-  // binary-heap fallback path.
-  uint64_t state = seed * 2654435761u + 1;
-  for (uint64_t i = 0; i < iters; ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    co_await k.delay((Time{1} << 30) + (state >> 20) % (Time{1} << 32));
-  }
-}
-
-uint64_t run_timers_far(Kernel& k, uint64_t procs, uint64_t iters) {
-  for (uint64_t p = 0; p < procs; ++p) k.spawn(far_proc(k, p, iters));
-  k.run();
-  return k.events_executed();
-}
-
 struct Measurement {
   std::string name;
   uint64_t events = 0;
   double wall_ms = 0.0;
   double events_per_s() const { return wall_ms > 0.0 ? 1e3 * static_cast<double>(events) / wall_ms : 0.0; }
 };
-
-// ------------------------------------------------------- scheduler microbench
-//
-// Op-level loops: post a batch of bare callbacks with a fixed delta shape,
-// drain, repeat. Each measured "op" is one post+fire round trip through a
-// single scheduler tier, with no coroutine or Event machinery in the way.
-
-uint64_t micro_hash(uint64_t i) {
-  uint64_t x = i * 0x9e3779b97f4a7c15ull + 1;
-  x ^= x >> 31;
-  return x * 0xbf58476d1ce4e5b9ull;
-}
-
-template <typename DeltaFn>
-Measurement micro(const std::string& op, uint64_t batches, uint64_t batch, DeltaFn&& delta) {
-  Measurement m;
-  m.name = op;
-  Kernel k;
-  const auto start = std::chrono::steady_clock::now();
-  uint64_t n = 0;
-  for (uint64_t b = 0; b < batches; ++b) {
-    for (uint64_t i = 0; i < batch; ++i) {
-      k.call_at(k.now() + delta(n++), [] {});
-    }
-    k.run();
-  }
-  m.wall_ms = seconds_since(start) * 1e3;
-  m.events = k.events_executed();
-  return m;
-}
-
-std::vector<Measurement> run_microbench(uint64_t scale) {
-  const uint64_t batches = 200 * scale;
-  const uint64_t batch = 256;
-  std::vector<Measurement> ms;
-  ms.push_back(micro("ring_post_fire", batches, batch, [](uint64_t) { return Time{0}; }));
-  ms.push_back(micro("wheel_short_delta", batches, batch,
-                     [](uint64_t i) { return Time{1 + micro_hash(i) % 63}; }));
-  ms.push_back(micro("wheel_spread_delta", batches, batch, [](uint64_t i) {
-    return Time{1 + micro_hash(i) % (Time{1} << 24)};  // levels 0-4
-  }));
-  ms.push_back(micro("heap_far_delta", batches, batch, [](uint64_t i) {
-    return (Time{1} << 30) + micro_hash(i) % (Time{1} << 32);  // beyond horizon
-  }));
-  return ms;
-}
 
 template <typename Fn>
 Measurement measure(const std::string& name, Fn&& body) {
@@ -254,12 +166,6 @@ int main() {
   ms.push_back(measure("timers", [&](Kernel& k) {
     return run_timers(k, /*procs=*/256, 200 * scale);
   }));
-  ms.push_back(measure("timers_bimodal", [&](Kernel& k) {
-    return run_timers_bimodal(k, /*procs=*/256, 200 * scale);
-  }));
-  ms.push_back(measure("timers_far", [&](Kernel& k) {
-    return run_timers_far(k, /*procs=*/256, 100 * scale);
-  }));
 
   std::vector<std::vector<std::string>> rows;
   uint64_t total_events = 0;
@@ -278,16 +184,6 @@ int main() {
                           .c_str());
   std::printf("total: %.2f Mevents/sec\n", total_eps / 1e6);
 
-  const std::vector<Measurement> micro_ms = run_microbench(scale);
-  std::vector<std::vector<std::string>> micro_rows;
-  for (const Measurement& m : micro_ms) {
-    micro_rows.push_back({m.name, std::to_string(m.events), stats::fmt(m.wall_ms),
-                          stats::fmt(m.events_per_s() / 1e6)});
-  }
-  std::printf("\nscheduler microbench (one post+fire per op, per tier):\n");
-  std::printf("%s\n",
-              stats::markdown_table({"op", "ops", "wall (ms)", "Mops/sec"}, micro_rows).c_str());
-
   // Machine-readable trajectory. Best-effort: an unwritable path must not
   // discard the table above.
   const char* json_env = std::getenv("PIM_BENCH_JSON");
@@ -305,16 +201,6 @@ int main() {
     arr.push_back(std::move(v));
   }
   out["measurements"] = json::Value(std::move(arr));
-  json::Array micro_arr;
-  for (const Measurement& m : micro_ms) {
-    json::Value v;
-    v["op"] = json::Value(m.name);
-    v["ops"] = json::Value(m.events);
-    v["wall_ms"] = json::Value(m.wall_ms);
-    v["mops_per_s"] = json::Value(m.events_per_s() / 1e6);
-    micro_arr.push_back(std::move(v));
-  }
-  out["scheduler_microbench"] = json::Value(std::move(micro_arr));
   out["total_events_per_s"] = json::Value(total_eps);
   try {
     json::write_file(json_path, out);

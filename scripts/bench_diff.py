@@ -30,11 +30,6 @@ def flatten(doc):
     total = doc.get("total_events_per_s")
     if total is not None:
         out["TOTAL"] = {"events_per_s": total}
-    for m in doc.get("scheduler_microbench", []):
-        # kernel_stress op-level scheduler loops (one post+fire per op).
-        label = "microbench/%s" % m.get("op", "?")
-        if m.get("mops_per_s") is not None:
-            out[label] = {"mops_per_s": m["mops_per_s"]}
     sweep = doc.get("sim_knob_sweep")
     if isinstance(sweep, dict) and sweep.get("speedup") is not None:
         # Artifact-cache win on the sim-knob sweep (higher is better).

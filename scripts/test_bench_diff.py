@@ -104,24 +104,6 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(rc, 0)
         self.assertIn("mlp/b2", out)
 
-    def test_scheduler_microbench_section_tracked(self):
-        def doc(mops):
-            d = kernel_doc(100.0)
-            d["scheduler_microbench"] = [
-                {"op": "wheel_short_delta", "ops": 51200, "wall_ms": 1.0,
-                 "mops_per_s": mops},
-                {"op": "ring_post_fire"},  # wall-clock failed: no rate, skipped
-            ]
-            return d
-        base = self.write("base.json", doc(40.0))
-        cur = self.write("cur.json", doc(10.0))  # -75% > default 20%
-        rc, out = run_diff(base, cur)
-        self.assertEqual(rc, 0)
-        self.assertIn("microbench/wheel_short_delta", out)
-        self.assertIn("mops_per_s", out)
-        self.assertIn("::warning", out)
-        self.assertNotIn("microbench/ring_post_fire", out)
-
     def test_sim_knob_sweep_speedup_tracked(self):
         def doc(speedup):
             return {"measurements": [],

@@ -118,7 +118,6 @@ sim::Process Core::dispatch_proc() {
     }
     RobEntry entry;
     entry.instr = &in;
-    entry.order = next_order_++;
     entry.is_branch = in.op == Opcode::JMP || in.op == Opcode::BEQ || in.op == Opcode::BNE ||
                       in.op == Opcode::BLT || in.op == Opcode::BGE;
     fill_hazard_info(entry);

@@ -78,7 +78,6 @@ class Core {
 
   struct RobEntry {
     const isa::Instruction* instr = nullptr;
-    uint64_t order = 0;  ///< program-order sequence number
     enum class State { Waiting, Executing, Done } state = State::Waiting;
     Range reads[2];
     int read_count = 0;
@@ -106,9 +105,6 @@ class Core {
   // -- helpers ----------------------------------------------------------------
   const isa::GroupDef& group(uint16_t id) const;
   LayerStats* layer_stats(const isa::Instruction& in);
-  /// Occupy this core's LM port for an access of `bytes` plus energy.
-  /// (Awaited inline from unit coroutines.)
-  // Implemented in exec processes via lm_port()/lm_access_ps()/charge_lm().
 
   sim::Kernel& kernel_;
   const config::ArchConfig& cfg_;
@@ -137,7 +133,6 @@ class Core {
 
   // ROB.
   std::deque<RobEntry> rob_;
-  uint64_t next_order_ = 0;
   sim::Event rob_slot_freed_;
   sim::Event branch_resolved_;
   int32_t branch_target_ = -1;  ///< -1 = fall-through, else new pc

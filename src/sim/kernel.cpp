@@ -113,80 +113,7 @@ void Kernel::call_at(Time t, std::function<void()> fn) {
   if (t <= now_) {
     ring_push(RingItem{nullptr, seq, slot + 1});
   } else {
-    future_push(t, seq, nullptr, slot + 1);
-  }
-}
-
-void Kernel::wheel_cascade(uint32_t level, uint32_t slot) {
-  // Detach the whole bucket, then re-place each node at its lower-level
-  // position. Traversal order is insertion order, and wheel_append is a tail
-  // append, so nodes that land in the same destination bucket keep their
-  // relative order — which is seq order (see the invariant note in kernel.h).
-  WheelBucket& b = wheel_[level][slot];
-  uint32_t idx = b.head;
-  b.head = b.tail = kWheelNil;
-  wheel_occ_[level] &= ~(uint64_t{1} << slot);
-  while (idx != kWheelNil) {
-    WheelNode& node = wheel_pool_[idx];
-    const uint32_t next = node.next;
-    node.next = kWheelNil;
-    // Bits below this level's group select the destination; all-zero means
-    // the node's time is exactly the slot base, i.e. a level-0 slot.
-    const uint64_t low = node.t & ((uint64_t{1} << (kWheelLevelBits * level)) - 1);
-    const uint32_t nl =
-        low == 0 ? 0
-                 : (63u - static_cast<uint32_t>(std::countl_zero(low))) / kWheelLevelBits;
-    const uint32_t ns =
-        static_cast<uint32_t>(node.t >> (kWheelLevelBits * nl)) & (kWheelSlots - 1);
-    wheel_append(nl, ns, idx);
-    idx = next;
-  }
-}
-
-Time Kernel::wheel_peek(Time bound) {
-  // Earliest pending wheel time, cascading upper-level slots down as needed.
-  // Occupied slot indices never trail the current index at their level, so a
-  // plain ctz on the occupancy word finds the earliest slot; the lowest
-  // nonempty level always wins (its slot widths are finer, and its entries
-  // share now_'s window at the level above, so they precede every entry of a
-  // coarser level).
-  //
-  // `bound` short-circuits the cascade: when the earliest upper-level slot's
-  // base already reaches `bound` (a lower bound on every time in the slot),
-  // nothing in the wheel fires before `bound`, so the slot stays parked and
-  // the returned value is only a lower bound — callers compare it against
-  // `bound`-or-later decisions, never advance to it.
-  //
-  // Cascading advances now_ to the slot boundary first. This is what keeps
-  // every level's occupied slots inside now_'s current window at the level
-  // above (so a direct insert and a cascaded node can never share a level-0
-  // bucket with different timestamps): the boundary is ≤ every time in the
-  // slot and < bound ≤ every other runnable event's time, so the move skips
-  // nothing and time stays monotone. Callers only ever advance now_ further
-  // (to an actual event time, or run()'s final until-clamp).
-  for (;;) {
-    uint32_t level = kWheelLevels;
-    for (uint32_t l = 0; l < kWheelLevels; ++l) {
-      if (wheel_occ_[l] != 0) {
-        level = l;
-        break;
-      }
-    }
-    if (level == kWheelLevels) return kTimeMax;
-    const uint32_t slot = static_cast<uint32_t>(std::countr_zero(wheel_occ_[level]));
-    if (level == 0) {
-      // Level-0 slots hold exactly one timestamp: the slot base plus index.
-      return ((now_ >> kWheelLevelBits) << kWheelLevelBits) + slot;
-    }
-    const uint32_t shift = kWheelLevelBits * (level + 1);
-    const Time slot_base = ((now_ >> shift) << shift) |
-                           (Time{slot} << (kWheelLevelBits * level));
-    if (slot_base >= bound) return slot_base;
-    // slot_base ≤ now_ is possible after an until-clamp parked now_ inside
-    // this slot's window; the cascade below is still correct (placement uses
-    // absolute low bits of t) and strictly lowers each node's level.
-    if (slot_base > now_) now_ = slot_base;
-    wheel_cascade(level, slot);
+    heap_push(HeapEntry{t, seq, nullptr, slot + 1});
   }
 }
 
@@ -236,50 +163,25 @@ bool Kernel::step() {
   uint32_t fn;
   if (!heap_.empty() && heap_.front().t == now_) {
     // Heap entries at the current time were all scheduled before time
-    // advanced here, so their seq numbers precede every wheel or ring
-    // entry's (they were posted while now_ lay in a different wheel epoch).
+    // advanced here, so their seq numbers precede every ring entry's.
     const HeapEntry e = heap_pop();
     t = e.t;
     seq = e.seq;
     h = e.h;
     fn = e.fn;
-  } else if (wheel_at_now()) {
-    // Wheel entries at the current time were scheduled while now_ was still
-    // in the future, so they precede every ring entry (scheduled at now_).
-    const WheelNode node = wheel_pop_now();
-    t = node.t;
-    seq = node.seq;
-    h = node.h;
-    fn = node.fn;
   } else if (ring_count_ > 0) {
     const RingItem item = ring_pop();
     t = now_;
     seq = item.seq;
     h = item.h;
     fn = item.fn;
-  } else if (!heap_.empty() || wheel_count_ != 0) {
-    // Advance to the earlier of the two future tiers. On a time tie the heap
-    // fires first (smaller seq — see above); guard on !heap_.empty() because
-    // an empty heap's kTimeMax sentinel can tie with a real wheel entry.
-    // Bounding the peek by heap_top keeps cascades (which advance now_ to
-    // slot boundaries) from overtaking a heap event that fires first.
-    const Time heap_top = heap_.empty() ? kTimeMax : heap_.front().t;
-    const Time wheel_t = wheel_count_ != 0 ? wheel_peek(heap_top) : kTimeMax;
-    if (!heap_.empty() && heap_top <= wheel_t) {
-      const HeapEntry e = heap_pop();
-      now_ = e.t;
-      t = e.t;
-      seq = e.seq;
-      h = e.h;
-      fn = e.fn;
-    } else {
-      now_ = wheel_t;
-      const WheelNode node = wheel_pop_now();
-      t = node.t;
-      seq = node.seq;
-      h = node.h;
-      fn = node.fn;
-    }
+  } else if (!heap_.empty()) {
+    const HeapEntry e = heap_pop();
+    now_ = e.t;
+    t = e.t;
+    seq = e.seq;
+    h = e.h;
+    fn = e.fn;
   } else {
     return false;
   }
@@ -306,27 +208,12 @@ Time Kernel::run(Time until) {
     }
     if (!heap_.empty() && heap_.front().t == now_) {
       // Leftover same-time heap entries (possible after a bare step() that
-      // advanced time). Their seqs precede every wheel or ring entry's at
-      // this time — drain first.
+      // advanced time). Their seqs precede every ring entry's — drain first.
       if (now_ >= until) break;  // `until` is exclusive
       do {
         const HeapEntry e = heap_pop();
         exec(e.t, e.seq, e.h, e.fn);
       } while (!heap_.empty() && heap_.front().t == now_);
-      continue;
-    }
-    if (wheel_at_now()) {
-      // Wheel entries at the current time: scheduled while now_ was still in
-      // the future, so they precede every ring entry. Firing one can only
-      // push ring entries (at now) or future events — a t <= now_ post goes
-      // to the ring, never back into this bucket — so the bucket drains
-      // without growing. Copy the node out before exec: the pool vector may
-      // reallocate if the fired event posts new wheel entries.
-      if (now_ >= until) break;
-      do {
-        const WheelNode node = wheel_pop_now();
-        exec(node.t, node.seq, node.h, node.fn);
-      } while (wheel_at_now());
       continue;
     }
     if (ring_count_ > 0) {
@@ -348,17 +235,8 @@ Time Kernel::run(Time until) {
       }
       continue;
     }
-    // Advance to the earlier of the two future tiers (the loop re-enters the
-    // at-now drains above, heap first so ties fire in seq order). wheel_peek
-    // is bounded by min(until, heap_top): slots proven to start at-or-after
-    // that bound stay parked instead of cascading.
-    const Time heap_top = heap_.empty() ? kTimeMax : heap_.front().t;
-    Time next_t = heap_top;
-    if (wheel_count_ != 0) {
-      next_t = std::min(next_t, wheel_peek(until < heap_top ? until : heap_top));
-    }
-    if (next_t >= until) break;
-    now_ = next_t;
+    if (heap_.empty() || heap_.front().t >= until) break;
+    now_ = heap_.front().t;  // advance; the loop re-enters the heap-at-now drain
   }
   // An abandoned run must not pretend it reached the simulated-time budget.
   if (!wall_expired_ && now_ < until && until != kTimeMax) now_ = until;

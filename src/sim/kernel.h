@@ -17,40 +17,27 @@
 //
 // Scheduler architecture (the hot path of every simulation in this repo):
 //
-//   * Three tiers, by temporal distance.
-//       ring:  events scheduled at the *current* time — the dominant case:
-//              `Event::notify`, `Resource::release` hand-off, `spawn` — go
-//              into a FIFO ring buffer and never touch a priority structure.
-//       wheel: future events within the wheel horizon (now ^ t agreeing on
-//              the top-level epoch, i.e. deltas up to ~2^30 ps ≈ 1 ms of
-//              simulated time) land in a hierarchical timing wheel (Varghese
-//              & Lauck): kWheelLevels levels x 64 slots, slot width 64^level
-//              ps, each level carrying a 64-bit occupancy bitmap so the next
-//              occupied slot is one ctz away. Slots are intrusive FIFO
-//              buckets of pooled POD nodes; posting and firing are O(1), a
-//              cascade moves a node at most kWheelLevels-1 times total.
-//       heap:  beyond-horizon events fall back to a binary min-heap of
-//              32-byte POD entries `{time, seq, handle}` ordered by
-//              (time, seq).
-//   * Determinism across tiers. Simulated time is monotone and `seq` is a
-//     global schedule counter, so for any single timestamp t the firing
-//     order heap-at-t, then wheel-bucket-at-t, then ring reproduces exactly
-//     the global (time, seq) order of a single ordered queue: heap entries
-//     at t were posted while t lay beyond the wheel horizon (earliest),
-//     wheel entries while t was in the future (middle; bucket FIFOs and
-//     cascades both preserve relative order, and a level-0 slot holds
-//     exactly one timestamp), and ring entries at t itself (latest).
-//     `Tuning{.timer_wheel = false}` forces every future event through the
-//     heap — the reference scheduler the differential fuzz tests compare
-//     against; both produce identical `order_fingerprint()` streams.
+//   * Two tiers. Events scheduled at the *current* time — the dominant case:
+//     `Event::notify`, `Resource::release` hand-off, `spawn` — go into a FIFO
+//     ring buffer and never touch the heap. Only future-time events enter a
+//     binary min-heap of small POD entries `{time, seq, handle}` ordered by
+//     (time, seq). Because simulated time is monotone, every heap entry at
+//     the current time was scheduled (and numbered) before every ring entry,
+//     so draining heap-at-now before the ring reproduces exactly the global
+//     (time, seq) firing order of a single ordered queue.
+//   * No third tier. A hierarchical bucketed tier for near-future events
+//     (Varghese & Lauck) between ring and heap was tried and removed: it ran
+//     the synthetic all-timers microbench ~2.5x faster, but end to end it
+//     was noise. Over 12 interleaved rounds of 13 cold timing-only zoo runs,
+//     ring + heap took a median 3.17 s per round against 3.31 s with the
+//     extra tier, with overlapping quartiles and byte-identical reports.
 //   * Callbacks out of line. `call_at` parks its `std::function` in a slot
 //     table and schedules only the slot index, so no `std::function` is ever
-//     moved during heap sifts or wheel cascades.
+//     moved during heap sifts.
 //   * Intrusive bookkeeping. `Event`/`Resource` waiter FIFOs and the kernel's
 //     live-process set are singly/doubly-linked lists threaded through the
-//     coroutine promise (`Process::promise_type`); wheel nodes come from a
-//     free-listed pool; steady-state simulation performs zero allocations
-//     per event.
+//     coroutine promise (`Process::promise_type`); steady-state simulation
+//     performs zero allocations per event.
 //
 // The kernel is single-threaded and deterministic: given the same inputs,
 // every simulation produces bit-identical results. `order_fingerprint()`
@@ -58,8 +45,6 @@
 // event order itself, not just the end state.
 #pragma once
 
-#include <array>
-#include <bit>
 #include <chrono>
 #include <coroutine>
 #include <cstdint>
@@ -242,16 +227,7 @@ class Event {
 /// future-time heap) and the intrusive list of live process frames.
 class Kernel {
  public:
-  /// Scheduler knobs. The defaults are what every simulation should run;
-  /// `timer_wheel = false` degrades every future-time event to the binary
-  /// heap — the bit-identical reference scheduler the differential tests
-  /// compare the wheel against.
-  struct Tuning {
-    bool timer_wheel = true;
-  };
-
   Kernel() = default;
-  explicit Kernel(const Tuning& tuning) : tuning_(tuning) {}
   ~Kernel();
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
@@ -273,7 +249,7 @@ class Kernel {
     if (t <= now_) {
       ring_push(RingItem{h.address(), seq, 0});
     } else {
-      future_push(t, seq, h.address(), 0);
+      heap_push(HeapEntry{t, seq, h.address(), 0});
     }
   }
 
@@ -304,7 +280,7 @@ class Kernel {
   /// Execute exactly one pending event. Returns false if the queue is empty.
   bool step();
 
-  bool empty() const { return ring_count_ == 0 && heap_.empty() && wheel_count_ == 0; }
+  bool empty() const { return ring_count_ == 0 && heap_.empty(); }
   uint64_t events_executed() const { return events_executed_; }
   size_t live_process_count() const { return live_count_; }
 
@@ -386,101 +362,6 @@ class Kernel {
   }
   HeapEntry heap_pop();
 
-  // ---- hierarchical timing wheel (the middle tier) ----
-  //
-  // Slot invariant: a node sits at level l, slot s iff s == (t >> 6l) & 63
-  // and t agrees with now_ on every bit group above l — so level-0 slots hold
-  // exactly one timestamp each, occupied slot indices never trail the current
-  // index at their level, and the earliest pending wheel time is the lowest
-  // occupied level's ctz. now_ never passes a pending wheel entry (run()
-  // clamps to min(next event, until)), which is what keeps the invariant
-  // stable across bounded runs.
-  static constexpr uint32_t kWheelLevelBits = 6;
-  static constexpr uint32_t kWheelSlots = 1u << kWheelLevelBits;
-  static constexpr uint32_t kWheelLevels = 5;  // horizon: 2^30 ps ~ 1.07 ms
-  static constexpr uint32_t kWheelNil = 0xffffffffu;
-
-  struct WheelNode {
-    Time t;
-    uint64_t seq;
-    void* h;
-    uint32_t fn;
-    uint32_t next;  // pool index of the next bucket node (or free-list link)
-  };
-  struct WheelBucket {
-    uint32_t head = kWheelNil;
-    uint32_t tail = kWheelNil;
-  };
-
-  /// Route a future event (t > now_) to the wheel when in-horizon, else to
-  /// the heap. The horizon test is epoch equality, not delta: an event just
-  /// across the top-level boundary heap-falls-back even for a small delta
-  /// (rare — 64^(L-1) out of 64^L times — and handled by the run loop taking
-  /// min(wheel, heap) with heap draining first on time ties).
-  void future_push(Time t, uint64_t seq, void* h, uint32_t fn) {
-    if (!tuning_.timer_wheel ||
-        ((t ^ now_) >> (kWheelLevelBits * kWheelLevels)) != 0) {
-      heap_push(HeapEntry{t, seq, h, fn});
-      return;
-    }
-    const uint64_t x = t ^ now_;  // != 0: t > now_
-    const uint32_t level =
-        (63u - static_cast<uint32_t>(std::countl_zero(x))) / kWheelLevelBits;
-    const uint32_t slot =
-        static_cast<uint32_t>(t >> (kWheelLevelBits * level)) & (kWheelSlots - 1);
-    uint32_t idx;
-    if (wheel_free_ != kWheelNil) {
-      idx = wheel_free_;
-      wheel_free_ = wheel_pool_[idx].next;
-    } else {
-      idx = static_cast<uint32_t>(wheel_pool_.size());
-      wheel_pool_.emplace_back();
-    }
-    wheel_pool_[idx] = WheelNode{t, seq, h, fn, kWheelNil};
-    wheel_append(level, slot, idx);
-    ++wheel_count_;
-  }
-
-  /// Append pool node `idx` to bucket (level, slot), maintaining occupancy.
-  void wheel_append(uint32_t level, uint32_t slot, uint32_t idx) {
-    WheelBucket& b = wheel_[level][slot];
-    if (b.tail != kWheelNil) {
-      wheel_pool_[b.tail].next = idx;
-    } else {
-      b.head = idx;
-      wheel_occ_[level] |= uint64_t{1} << slot;
-    }
-    b.tail = idx;
-  }
-
-  /// True when the level-0 slot for the current time holds entries — by the
-  /// slot invariant their timestamps all equal now_ exactly.
-  bool wheel_at_now() const {
-    return wheel_count_ != 0 &&
-           ((wheel_occ_[0] >> (static_cast<uint32_t>(now_) & (kWheelSlots - 1))) & 1u) != 0;
-  }
-
-  /// Pop the front node of the level-0 at-now bucket (caller checked
-  /// wheel_at_now()); the node is freed and its payload returned by value.
-  WheelNode wheel_pop_now() {
-    const uint32_t slot = static_cast<uint32_t>(now_) & (kWheelSlots - 1);
-    WheelBucket& b = wheel_[0][slot];
-    const uint32_t idx = b.head;
-    const WheelNode node = wheel_pool_[idx];
-    b.head = node.next;
-    if (b.head == kWheelNil) {
-      b.tail = kWheelNil;
-      wheel_occ_[0] &= ~(uint64_t{1} << slot);
-    }
-    wheel_pool_[idx].next = wheel_free_;
-    wheel_free_ = idx;
-    --wheel_count_;
-    return node;
-  }
-
-  void wheel_cascade(uint32_t level, uint32_t slot);
-  Time wheel_peek(Time bound);
-
   uint32_t fn_park(std::function<void()> fn);
   void run_callback(uint32_t fn);
 
@@ -500,12 +381,6 @@ class Kernel {
   size_t ring_head_ = 0;
   size_t ring_count_ = 0;
   std::vector<HeapEntry> heap_;                  // binary min-heap on (t, seq)
-  Tuning tuning_{};
-  std::array<uint64_t, kWheelLevels> wheel_occ_{};          // per-level occupancy
-  std::array<std::array<WheelBucket, kWheelSlots>, kWheelLevels> wheel_{};
-  std::vector<WheelNode> wheel_pool_;  // bucket nodes; free list through `next`
-  uint32_t wheel_free_ = kWheelNil;
-  size_t wheel_count_ = 0;
   std::vector<std::function<void()>> fn_slots_;  // parked call_at callbacks
   std::vector<uint32_t> fn_free_;                // free slot indices
   Process::promise_type* live_head_ = nullptr;   // unfinished spawned processes

@@ -4,7 +4,7 @@
 // resource handoff, and clock arithmetic.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "sim/kernel.h"
@@ -71,6 +71,16 @@ TEST(Kernel, RunUntilClampingSemantics) {
   // `until` in the past is a no-op: time never moves backwards.
   k.run(/*until=*/20);
   EXPECT_EQ(k.now(), 50u);
+  // A bound strictly between now() and a pending event parks the clock at
+  // the bound with the event still queued; the next run fires it at its own
+  // time, not at the bound.
+  k.call_at(90, [&] { ++fired; });
+  k.run(/*until=*/60);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(k.now(), 60u);
+  k.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(k.now(), 90u);
 }
 
 TEST(Kernel, StepThenRunKeepsScheduleOrder) {
@@ -521,156 +531,66 @@ INSTANTIATE_TEST_SUITE_P(Waves, ResourceWaveTest,
                                            std::pair<int, uint32_t>{9, 4},
                                            std::pair<int, uint32_t>{16, 16}));
 
-// --------------------------------------------------------------- timer wheel
-//
-// The hierarchical wheel tier must be scheduling-invisible: every test below
-// runs the same scenario on a default kernel (wheel on) and on a
-// Tuning{.timer_wheel = false} reference kernel (every future event through
-// the binary heap) and requires identical firing order via
-// order_fingerprint(), identical clocks, and identical event counts.
+// --------------------------------------------------------- queue edge cases
 
-Kernel::Tuning heap_only() {
-  Kernel::Tuning t;
-  t.timer_wheel = false;
-  return t;
-}
-
-// Run `scenario` on both schedulers and assert observable identity.
-template <typename Scenario>
-void expect_wheel_matches_heap(Scenario&& scenario) {
-  Kernel wheel;
-  Kernel heap(heap_only());
-  scenario(wheel);
-  scenario(heap);
-  EXPECT_EQ(wheel.order_fingerprint(), heap.order_fingerprint());
-  EXPECT_EQ(wheel.now(), heap.now());
-  EXPECT_EQ(wheel.events_executed(), heap.events_executed());
-  EXPECT_EQ(wheel.empty(), heap.empty());
-}
-
-TEST(TimerWheel, LevelHorizonBoundaryDeltas) {
-  // Deltas straddling every level boundary (64^k - 1, 64^k, 64^k + 1) plus
-  // the wheel horizon itself (2^30): the placement rule must agree with the
-  // heap reference at exactly the points where the level index changes.
-  expect_wheel_matches_heap([](Kernel& k) {
-    std::vector<Time> fired;
-    for (uint32_t level = 1; level <= 5; ++level) {
-      const Time edge = Time{1} << (6 * level);
-      for (Time d : {edge - 1, edge, edge + 1}) {
-        k.call_at(d, [&fired, &k] { fired.push_back(k.now()); });
-      }
-    }
-    k.call_at((Time{1} << 30) - 1, [] {});  // last in-horizon time from t=0
-    k.call_at(Time{1} << 30, [] {});        // first beyond-horizon time
-    k.run();
-    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
-  });
-}
-
-TEST(TimerWheel, SameTimeAcrossTiersFiresInScheduleOrder) {
-  // Three events at one timestamp, posted from three different distances:
-  // beyond-horizon (heap), in-horizon (wheel), and at-time (ring, posted by
-  // an event firing at t). Global (time, seq) order must hold across tiers.
-  expect_wheel_matches_heap([](Kernel& k) {
-    std::vector<int> order;
-    const Time t = (Time{1} << 30) + 100;  // beyond horizon as seen from 0
-    k.call_at(t, [&order] { order.push_back(0); });  // heap tier
-    k.call_at(t - 50, [&k, &order, t] {
-      k.call_at(t, [&order] { order.push_back(1); });  // wheel tier (50 away)
-      k.call_at(t, [&k, &order] {                      // wheel tier, later seq
-        order.push_back(2);
-        k.call_at(k.now(), [&order] { order.push_back(3); });  // ring tier
-      });
+TEST(Kernel, SameTimeHeapEventsFireBeforeRingEvents) {
+  // Three events at one timestamp: two posted from the past (heap), one
+  // posted at that time by an event firing there (ring). Global (time, seq)
+  // order must hold across the two tiers.
+  Kernel k;
+  std::vector<int> order;
+  const Time t = 1000;
+  k.call_at(t, [&order] { order.push_back(0); });
+  k.call_at(t - 50, [&k, &order, t] {
+    k.call_at(t, [&order] { order.push_back(1); });
+    k.call_at(t, [&k, &order] {
+      order.push_back(2);
+      k.call_at(k.now(), [&order] { order.push_back(3); });  // ring
     });
-    k.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
   });
+  k.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(k.now(), t);
 }
 
-TEST(TimerWheel, TimeMaxClampSemantics) {
+TEST(Kernel, TimeMaxEventFiresOnlyUnderStep) {
   // An event parked at kTimeMax: a default (draining) run() must leave it
   // unfired — until is exclusive and never clamps to kTimeMax — while step()
-  // does fire it. Exercised near the top of the time range so the wheel
-  // kernel actually holds it in a wheel slot, not the heap.
-  expect_wheel_matches_heap([](Kernel& k) {
-    const Time high = kTimeMax - (Time{1} << 20);
-    k.run(/*until=*/high);  // park now() deep enough that kTimeMax is in-horizon
-    EXPECT_EQ(k.now(), high);
-    int fired = 0;
-    k.call_at(kTimeMax, [&fired] { ++fired; });
-    k.run();
-    EXPECT_EQ(fired, 0);
-    EXPECT_FALSE(k.empty());
-    EXPECT_TRUE(k.step());
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(k.now(), kTimeMax);
-    EXPECT_TRUE(k.empty());
-  });
-}
-
-TEST(TimerWheel, CascadeAtWheelWrap) {
-  // Drive now() to just below a high-level slot boundary, then schedule
-  // across it: the events land in upper-level slots whose low-level slot
-  // indices wrap past zero, and firing them requires a cascade right at the
-  // wrap point.
-  expect_wheel_matches_heap([](Kernel& k) {
-    std::vector<Time> fired;
-    auto record = [&fired, &k] { fired.push_back(k.now()); };
-    // Just below the first level-2 boundary (64^2), then spill across it.
-    k.call_at((64 * 64) - 3, [&] {
-      for (Time d : {Time{1}, Time{2}, Time{5}, Time{64}, Time{64 * 64}}) {
-        k.call_at(k.now() + d, record);
-      }
-    });
-    // Same dance at a level-3 boundary reached via an until-clamp.
-    k.run(/*until=*/(Time{64} * 64 * 64) - 1);
-    for (Time d : {Time{1}, Time{2}, Time{63}, Time{64}, Time{4096}}) {
-      k.call_at(k.now() + d, record);
-    }
-    k.run();
-    EXPECT_EQ(fired.size(), 10u);
-    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
-  });
-}
-
-TEST(TimerWheel, BoundedRunClampParksInsideSlotWindow) {
-  // run(until) with until inside an occupied upper-level slot's window: the
-  // clamp leaves now() at until with the entry still parked (its slot index
-  // now *equals* the current index at that level — the one place equality is
-  // legal), and the next run must still fire it at the right time.
-  expect_wheel_matches_heap([](Kernel& k) {
-    int fired = 0;
-    k.call_at(64 * 7 + 13, [&fired] { ++fired; });  // level-1 slot from t=0
-    k.run(/*until=*/64 * 7 + 2);                    // clamp into the slot's window
-    EXPECT_EQ(fired, 0);
-    EXPECT_EQ(k.now(), Time{64 * 7 + 2});
-    k.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(k.now(), Time{64 * 7 + 13});
-  });
+  // does fire it.
+  Kernel k;
+  int fired = 0;
+  k.call_at(kTimeMax, [&fired] { ++fired; });
+  k.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_FALSE(k.empty());
+  EXPECT_TRUE(k.step());
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(k.now(), kTimeMax);
+  EXPECT_TRUE(k.empty());
 }
 
 Process parked_sleeper(Kernel& k, Time delta) {
   co_await k.delay(delta);
 }
 
-TEST(TimerWheel, TeardownWithParkedWheelEntriesIsClean) {
-  // Destroying a kernel with coroutine frames parked in wheel buckets (and
-  // callbacks parked in fn slots) must reclaim every frame — the sanitizer
-  // jobs run this under ASan/LSan, so a leaked frame or a double free fails.
+TEST(Kernel, TeardownWithParkedHeapEntriesIsClean) {
+  // Destroying a kernel with coroutine frames parked in the heap (and
+  // callbacks parked in call_at slots) must reclaim every frame — the
+  // sanitizer jobs run this under ASan/LSan, so a leaked frame or a double
+  // free fails.
   auto k = std::make_unique<Kernel>();
   for (Time d : {Time{3}, Time{70}, Time{5000}, Time{1} << 20, Time{1} << 31}) {
     k->spawn(parked_sleeper(*k, d));
     k->call_at(k->now() + d + 1, [] {});
   }
-  k->run(/*until=*/2);  // everything still parked across all tiers
+  k->run(/*until=*/2);  // every sleeper and callback still parked
   EXPECT_EQ(k->live_process_count(), 5u);
   EXPECT_FALSE(k->empty());
   k.reset();
 }
 
-// Counter-based hash: deterministic per (actor, step), independent of
-// execution interleaving, so both kernels see byte-identical schedules.
+// Counter-based hash: deterministic per (actor, step), independent of how
+// the run is driven, so every driver sees byte-identical schedules.
 uint64_t fuzz_mix(uint64_t a, uint64_t b) {
   uint64_t x = a * 0x9e3779b97f4a7c15ull + b + 0x7f4a7c15ull;
   x ^= x >> 30;
@@ -681,43 +601,68 @@ uint64_t fuzz_mix(uint64_t a, uint64_t b) {
   return x;
 }
 
-// Self-rescheduling actor: fires `steps` times with hashed deltas spanning
-// every tier (same-time, all wheel levels, beyond-horizon heap fallback).
+// Next-but-`skip` multiple of 2^bits strictly after `now`.
+Time fuzz_snap(Time now, int bits, uint64_t skip) {
+  return ((now >> bits) + 1 + skip) << bits;
+}
+
+// Self-rescheduling actor: fires `steps` times at hashed times, from
+// same-time (ring) through near and far future (heap). Most posts snap to
+// shared grids of three granularities, so actors that drift apart meet
+// again on the coarse grid and then collide on the fine ones: that is what
+// puts same-time heap entries and ring entries in the queue together.
 void fuzz_actor(Kernel& k, uint64_t seed, int id, int step, int steps) {
   if (step >= steps) return;
   const uint64_t h = fuzz_mix(seed ^ static_cast<uint64_t>(id), static_cast<uint64_t>(step));
-  Time delta;
+  const uint64_t r = h >> 8;
+  const Time now = k.now();
+  Time t;
   switch (h % 8) {
-    case 0: delta = 0; break;                           // ring (at-now)
-    case 1: delta = 1 + (h >> 8) % 63; break;           // wheel level 0
-    case 2: delta = 64 + (h >> 8) % 4032; break;        // level 1
-    case 3: delta = 4096 + (h >> 8) % 258048; break;    // level 2
-    case 4: delta = (h >> 8) % (Time{1} << 24); break;  // levels 3-4
-    case 5: delta = (Time{1} << 30) + (h >> 8) % (Time{1} << 31); break;  // heap
-    default: delta = (h >> 8) % 200; break;             // clustered collisions
+    case 0: t = now; break;                            // same time
+    case 1: t = now + 1 + r % 63; break;               // off-grid, near
+    case 2: t = now + r % (Time{1} << 16); break;      // off-grid, mid
+    case 3:
+    case 4: t = fuzz_snap(now, 6, r % 4); break;       // fine grid
+    case 5:
+    case 6: t = fuzz_snap(now, 12, r % 4); break;      // mid grid
+    default: t = fuzz_snap(now, 20, r % 2); break;     // coarse grid, far
   }
-  k.call_at(k.now() + delta, [&k, seed, id, step, steps] {
-    fuzz_actor(k, seed, id, step + 1, steps);
-  });
+  k.call_at(t, [&k, seed, id, step, steps] { fuzz_actor(k, seed, id, step + 1, steps); });
 }
 
-TEST(TimerWheel, DifferentialOrderFuzzMatchesHeapReference) {
-  // Random event streams on the wheel kernel vs the pure-heap reference:
-  // order_fingerprint() hashes every (time, seq) fired, so the comparison
-  // proves order identity — any divergence also derails the actors' shared
-  // schedule and shows up as differing clocks/counts. Mixed run(until)
-  // segments and bare step()s hit the clamp and single-step paths too.
+TEST(Kernel, SegmentedRunMatchesSingleRunFuzz) {
+  // The same seeded actor streams driven two ways — mixed run(until)
+  // segments plus bare step()s, versus one draining run() — must fire the
+  // same (time, seq) stream. order_fingerprint() hashes every event fired,
+  // so equality proves order identity; any divergence also derails the
+  // actors' shared schedule and shows up as differing clocks or counts. The
+  // segments exercise the until-clamp, the heap-at-now leftovers a step()
+  // can leave, and resumption from a clamped clock: a step() or run() that
+  // fired ring entries ahead of those leftovers fails every seed here.
+  constexpr int kActors = 16;
+  constexpr int kSteps = 200;
   for (uint64_t seed : {0xdecaf0ull, 0xbadc0ffeeull, 0x5eed5ull}) {
-    expect_wheel_matches_heap([seed](Kernel& k) {
-      for (int id = 0; id < 12; ++id) fuzz_actor(k, seed, id, 0, 40);
-      Time until = 0;
-      for (int segment = 0; segment < 6; ++segment) {
-        until += 1 + fuzz_mix(seed, 1000 + static_cast<uint64_t>(segment)) % (Time{1} << 28);
-        k.run(until);
-        for (int s = 0; s < 3; ++s) k.step();
-      }
-      k.run();
-    });
+    Kernel whole;
+    for (int id = 0; id < kActors; ++id) fuzz_actor(whole, seed, id, 0, kSteps);
+    whole.run();
+
+    Kernel segmented;
+    for (int id = 0; id < kActors; ++id) fuzz_actor(segmented, seed, id, 0, kSteps);
+    for (uint64_t segment = 0; segment < 64; ++segment) {
+      const uint64_t h = fuzz_mix(seed, 1000 + segment);
+      // Log-spread lengths, measured from the clock the last step() left.
+      segmented.run(segmented.now() + 1 + (h >> 8) % (Time{1} << (h % 22)));
+      for (uint64_t s = 0; s < 1 + (h >> 40) % 8; ++s) segmented.step();
+    }
+    // Work must remain, or a final until-clamp could leave now() past the
+    // last event and the clocks would differ for a reason other than order.
+    ASSERT_FALSE(segmented.empty());
+    segmented.run();
+
+    EXPECT_EQ(segmented.order_fingerprint(), whole.order_fingerprint());
+    EXPECT_EQ(segmented.now(), whole.now());
+    EXPECT_EQ(segmented.events_executed(), whole.events_executed());
+    EXPECT_EQ(whole.events_executed(), uint64_t{kActors} * kSteps);
   }
 }
 
