@@ -67,14 +67,12 @@ double Chip::static_power_mw() const {
          cfg_.global_memory.static_power_mw;
 }
 
-sim::Time Chip::gmem_access_ps(uint64_t bytes) const {
+sim::Process Chip::gmem_access(uint64_t bytes) {
   const auto& g = cfg_.global_memory;
-  return core_clock_.to_ps(g.latency_cycles + ceil_div<uint64_t>(bytes, g.bytes_per_cycle));
-}
-
-void Chip::charge_gmem(uint64_t bytes) {
-  stats_.energy.add(Component::GlobalMemory,
-                    cfg_.global_memory.energy_pj_per_byte * static_cast<double>(bytes));
+  co_await gmem_port_.acquire();
+  co_await core_clock_.cycles(g.latency_cycles + ceil_div<uint64_t>(bytes, g.bytes_per_cycle));
+  gmem_port_.release();
+  stats_.energy.add(Component::GlobalMemory, g.energy_pj_per_byte * static_cast<double>(bytes));
 }
 
 void Chip::write_global(uint64_t addr, std::span<const uint8_t> bytes) {

@@ -58,11 +58,9 @@ class Chip {
   const config::ArchConfig& config() const { return cfg_; }
   RunStats& stats() { return stats_; }
 
-  /// Global-memory port occupancy (latency + serialization) for `bytes`.
-  sim::Time gmem_access_ps(uint64_t bytes) const;
-  sim::Resource& gmem_port() { return gmem_port_; }
-  void charge_gmem(uint64_t bytes);
-  std::vector<uint8_t>& gmem_backing() { return gmem_; }
+  /// One global-memory access of `bytes`: holds the single memory port for
+  /// latency + serialization (core clock), then charges its energy.
+  sim::Process gmem_access(uint64_t bytes);
 
   /// Static power of the whole chip in mW (leakage integrated over the run).
   double static_power_mw() const;

@@ -75,14 +75,12 @@ void Core::start() {
   kernel_.spawn(dispatch_proc());
 }
 
-sim::Time Core::lm_access_ps(uint64_t bytes) const {
+sim::Process Core::lm_access(uint64_t bytes) {
   const auto& lm = cfg_.core.local_memory;
-  return clock_.to_ps(lm.latency_cycles + ceil_div<uint64_t>(bytes, lm.bytes_per_cycle));
-}
-
-void Core::charge_lm(uint64_t bytes) {
-  stats_.energy.add(Component::LocalMemory,
-                    cfg_.core.local_memory.energy_pj_per_byte * static_cast<double>(bytes));
+  co_await lm_port_.acquire();
+  co_await clock_.cycles(lm.latency_cycles + ceil_div<uint64_t>(bytes, lm.bytes_per_cycle));
+  lm_port_.release();
+  stats_.energy.add(Component::LocalMemory, lm.energy_pj_per_byte * static_cast<double>(bytes));
 }
 
 const GroupDef& Core::group(uint16_t gid) const {
@@ -96,6 +94,13 @@ const GroupDef& Core::group(uint16_t gid) const {
 LayerStats* Core::layer_stats(const Instruction& in) {
   if (in.layer_id < 0) return nullptr;
   return &stats_.layers[in.layer_id];
+}
+
+void Core::account_wire(const Instruction& in, sim::Time wire_start, uint64_t bytes) {
+  if (LayerStats* ls = layer_stats(in)) {
+    ls->transfer_wire_ps += kernel_.now() - wire_start;
+    ls->bytes_moved += bytes;
+  }
 }
 
 // --------------------------------------------------------------- dispatch
@@ -316,13 +321,12 @@ sim::Process Core::exec_matrix(RobEntry& e) {
   co_await lock.acquire();
 
   // Read the input vector from local memory.
-  co_await lm_port_.acquire();
-  co_await kernel_.delay(lm_access_ps(in.len));
-  lm_port_.release();
-  charge_lm(in.len);
+  co_await lm_access(in.len);
 
-  // Functional: int32 partial sums (weights empty -> timing-only zeros).
-  std::vector<int32_t> result(g.out_len, 0);
+  // Functional: int32 partial sums (a group without weights yields zeros).
+  // Timing-only runs allocate no buffer.
+  std::vector<int32_t> result;
+  if (cfg_.sim.functional) result.assign(g.out_len, 0);
   if (!g.weights.empty() && cfg_.sim.functional) {
     const int8_t* src = reinterpret_cast<const int8_t*>(lm_.data() + in.src1_addr);
     for (uint32_t k = 0; k < g.in_len; ++k) {
@@ -358,10 +362,7 @@ sim::Process Core::exec_matrix(RobEntry& e) {
                                         g.out_len);
 
   // Write the int32 partial sums back.
-  co_await lm_port_.acquire();
-  co_await kernel_.delay(lm_access_ps(4ull * g.out_len));
-  lm_port_.release();
-  charge_lm(4ull * g.out_len);
+  co_await lm_access(4ull * g.out_len);
   if (cfg_.sim.functional) {
     std::memcpy(lm_.data() + in.dst_addr, result.data(), result.size() * 4);
   }
@@ -393,17 +394,13 @@ sim::Process Core::exec_vector(RobEntry& e) {
 
   const uint64_t bytes_in = in.bytes_in();
   const uint64_t bytes_out = in.bytes_out();
-  if (bytes_in) {
-    co_await lm_port_.acquire();
-    co_await kernel_.delay(lm_access_ps(bytes_in));
-    lm_port_.release();
-    charge_lm(bytes_in);
-  }
+  if (bytes_in) co_await lm_access(bytes_in);
 
   // Functional evaluation into a staging buffer (applied after the write
-  // latency below, i.e. at completion time).
-  std::vector<uint8_t> out_bytes(bytes_out);
+  // latency below, i.e. at completion time). Timing-only runs allocate none.
+  std::vector<uint8_t> out_bytes;
   if (cfg_.sim.functional) {
+    out_bytes.resize(bytes_out);
     auto load1 = [&](uint32_t i) -> int64_t {
       if (in.op == Opcode::VQUANT) {
         int32_t v;
@@ -466,10 +463,7 @@ sim::Process Core::exec_vector(RobEntry& e) {
   stats_.energy.add(Component::VectorAlu, vu.energy_pj_per_element * in.len);
 
   if (bytes_out) {
-    co_await lm_port_.acquire();
-    co_await kernel_.delay(lm_access_ps(bytes_out));
-    lm_port_.release();
-    charge_lm(bytes_out);
+    co_await lm_access(bytes_out);
     if (cfg_.sim.functional) {
       std::memcpy(lm_.data() + in.dst_addr, out_bytes.data(), out_bytes.size());
     }
@@ -490,10 +484,7 @@ sim::Process Core::exec_transfer(RobEntry& e) {
   switch (in.op) {
     case Opcode::SEND: {
       // Read payload from local memory.
-      co_await lm_port_.acquire();
-      co_await kernel_.delay(lm_access_ps(bytes));
-      lm_port_.release();
-      charge_lm(bytes);
+      co_await lm_access(bytes);
       std::vector<uint8_t> payload;
       if (cfg_.sim.functional) {
         payload.assign(lm_.begin() + in.src1_addr, lm_.begin() + in.src1_addr + bytes);
@@ -514,36 +505,17 @@ sim::Process Core::exec_transfer(RobEntry& e) {
       }
 
       const sim::Time wire_start = kernel_.now();
-      // Store-and-forward traversal, one occupied link at a time.
-      std::vector<Link*> path = noc.route(id_, in.core);
-      for (Link* l : path) {
-        co_await l->busy.acquire();
-        const sim::Time link_start = kernel_.now();
-        co_await kernel_.delay(noc.hop_ps() + noc.serialization_ps(bytes));
-        l->bytes_carried += bytes;
-        ++l->messages;
-        if (l->trace_tid != 0) {
-          trace_->complete(l->trace_tid, "xfer", link_start, kernel_.now() - link_start);
-        }
-        l->busy.release();
-      }
-      noc.charge(bytes, path.size());
+      co_await noc.transfer(id_, in.core, bytes);
 
       // Deliver into the destination core's local memory.
       Core& dst = chip_.core(in.core);
-      co_await dst.lm_port().acquire();
-      co_await kernel_.delay(dst.lm_access_ps(bytes));
-      dst.lm_port().release();
-      dst.charge_lm(bytes);
+      co_await dst.lm_access(bytes);
       if (cfg_.sim.functional) {
         std::memcpy(dst.lm().data() + recv.dst_addr, payload.data(), bytes);
       }
       my_stats_.bytes_sent += bytes;
       dst.stats().bytes_received += bytes;
-      if (LayerStats* ls = layer_stats(in)) {
-        ls->transfer_wire_ps += kernel_.now() - wire_start;
-        ls->bytes_moved += bytes;
-      }
+      account_wire(in, wire_start, bytes);
       recv.delivered->notify();
       break;
     }
@@ -561,77 +533,35 @@ sim::Process Core::exec_transfer(RobEntry& e) {
     }
     case Opcode::GLOAD: {
       const uint64_t gaddr = static_cast<uint32_t>(in.imm);
-      std::vector<Link*> path = noc.route(Noc::kGlobalMemNode, id_);
       // Request message travels to the memory port (header-only latency).
-      co_await kernel_.delay(noc.hop_ps() * path.size());
-      co_await chip_.gmem_port().acquire();
-      co_await kernel_.delay(chip_.gmem_access_ps(bytes));
-      chip_.gmem_port().release();
-      chip_.charge_gmem(bytes);
+      co_await kernel_.delay(noc.hop_ps() * noc.hop_count(Noc::kGlobalMemNode, id_));
+      co_await chip_.gmem_access(bytes);
       const sim::Time wire_start = kernel_.now();
-      for (Link* l : path) {
-        co_await l->busy.acquire();
-        const sim::Time link_start = kernel_.now();
-        co_await kernel_.delay(noc.hop_ps() + noc.serialization_ps(bytes));
-        l->bytes_carried += bytes;
-        ++l->messages;
-        if (l->trace_tid != 0) {
-          trace_->complete(l->trace_tid, "xfer", link_start, kernel_.now() - link_start);
-        }
-        l->busy.release();
-      }
-      noc.charge(bytes, path.size());
-      co_await lm_port_.acquire();
-      co_await kernel_.delay(lm_access_ps(bytes));
-      lm_port_.release();
-      charge_lm(bytes);
+      co_await noc.transfer(Noc::kGlobalMemNode, id_, bytes);
+      co_await lm_access(bytes);
       if (cfg_.sim.functional) {
         std::vector<uint8_t> data = chip_.read_global(gaddr, bytes);
         std::memcpy(lm_.data() + in.dst_addr, data.data(), bytes);
       }
       my_stats_.bytes_received += bytes;
-      if (LayerStats* ls = layer_stats(in)) {
-        ls->transfer_wire_ps += kernel_.now() - wire_start;
-        ls->bytes_moved += bytes;
-      }
+      account_wire(in, wire_start, bytes);
       break;
     }
     case Opcode::GSTORE: {
       const uint64_t gaddr = static_cast<uint32_t>(in.imm);
-      co_await lm_port_.acquire();
-      co_await kernel_.delay(lm_access_ps(bytes));
-      lm_port_.release();
-      charge_lm(bytes);
+      co_await lm_access(bytes);
       std::vector<uint8_t> payload;
       if (cfg_.sim.functional) {
         payload.assign(lm_.begin() + in.src1_addr, lm_.begin() + in.src1_addr + bytes);
       }
       const sim::Time wire_start = kernel_.now();
-      std::vector<Link*> path = noc.route(id_, Noc::kGlobalMemNode);
-      for (Link* l : path) {
-        co_await l->busy.acquire();
-        const sim::Time link_start = kernel_.now();
-        co_await kernel_.delay(noc.hop_ps() + noc.serialization_ps(bytes));
-        l->bytes_carried += bytes;
-        ++l->messages;
-        if (l->trace_tid != 0) {
-          trace_->complete(l->trace_tid, "xfer", link_start, kernel_.now() - link_start);
-        }
-        l->busy.release();
-      }
-      noc.charge(bytes, path.size());
-      co_await chip_.gmem_port().acquire();
-      co_await kernel_.delay(chip_.gmem_access_ps(bytes));
-      chip_.gmem_port().release();
-      chip_.charge_gmem(bytes);
+      co_await noc.transfer(id_, Noc::kGlobalMemNode, bytes);
+      co_await chip_.gmem_access(bytes);
       if (cfg_.sim.functional) {
         chip_.write_global(gaddr, payload);
       }
       my_stats_.bytes_sent += bytes;
-      if (LayerStats* ls = layer_stats(in)) {
-        ls->transfer_wire_ps += kernel_.now() - wire_start;
-        ls->bytes_moved += bytes;
-      }
+      account_wire(in, wire_start, bytes);
       break;
     }
     default:

@@ -57,14 +57,6 @@ class Core {
   std::vector<uint8_t>& lm() { return lm_; }
   const std::vector<uint8_t>& lm() const { return lm_; }
 
-  /// Local-memory access port: single-ported, bandwidth-serialized. Shared
-  /// with remote senders delivering payloads into this core.
-  sim::Resource& lm_port() { return lm_port_; }
-  /// Port occupancy for an access of `bytes`, in ps (latency + serialization).
-  sim::Time lm_access_ps(uint64_t bytes) const;
-  /// Charge local-memory access energy.
-  void charge_lm(uint64_t bytes);
-
   CoreStats& stats() { return my_stats_; }
 
  private:
@@ -89,6 +81,10 @@ class Core {
   };
 
   // -- processes ------------------------------------------------------------
+  /// One local-memory access of `bytes`: holds the single port for latency +
+  /// serialization, then charges its energy. The only user of lm_port_,
+  /// which remote senders delivering into this core share.
+  sim::Process lm_access(uint64_t bytes);
   sim::Process dispatch_proc();
   sim::Process exec_matrix(RobEntry& e);
   sim::Process exec_vector(RobEntry& e);
@@ -105,6 +101,8 @@ class Core {
   // -- helpers ----------------------------------------------------------------
   const isa::GroupDef& group(uint16_t id) const;
   LayerStats* layer_stats(const isa::Instruction& in);
+  /// Book a transfer's wire time (wire_start to now) and bytes to its layer.
+  void account_wire(const isa::Instruction& in, sim::Time wire_start, uint64_t bytes);
 
   sim::Kernel& kernel_;
   const config::ArchConfig& cfg_;

@@ -39,10 +39,8 @@ std::vector<Link*> Noc::route(uint16_t from, uint16_t to) {
   // dedicated memory link.
   if (from == kGlobalMemNode) {
     path.push_back(&gmem_link_);
-    uint16_t cur = 0;
     std::vector<Link*> rest = route(0, to);
     path.insert(path.end(), rest.begin(), rest.end());
-    (void)cur;
     return path;
   }
   if (to == kGlobalMemNode) {
@@ -77,7 +75,24 @@ uint32_t Noc::hop_count(uint16_t from, uint16_t to) const {
   return static_cast<uint32_t>(std::abs(fx - tx) + std::abs(fy - ty)) + extra;
 }
 
+sim::Process Noc::transfer(uint16_t from, uint16_t to, uint64_t bytes) {
+  const std::vector<Link*> path = route(from, to);
+  for (Link* l : path) {
+    co_await l->busy.acquire();
+    const sim::Time link_start = kernel_.now();
+    co_await kernel_.delay(hop_ps() + serialization_ps(bytes));
+    l->bytes_carried += bytes;
+    ++l->messages;
+    if (l->trace_tid != 0) {
+      trace_->complete(l->trace_tid, "xfer", link_start, kernel_.now() - link_start);
+    }
+    l->busy.release();
+  }
+  charge(bytes, path.size());
+}
+
 void Noc::attach_trace(telemetry::TraceSink& sink, uint32_t pid) {
+  trace_ = &sink;
   static constexpr const char* kDirNames[4] = {"+x", "-x", "+y", "-y"};
   for (size_t id = 0; id < links_.size(); ++id) {
     for (size_t dir = 0; dir < 4; ++dir) {

@@ -16,12 +16,7 @@
 // idealistic model (see pim::mnsim).
 //
 // Usage from a transfer-unit coroutine:
-//   for (Link* l : noc.route(src, dst)) {
-//     co_await l->busy.acquire();
-//     co_await kernel.delay(noc.hop_ps() + noc.serialization_ps(bytes));
-//     l->busy.release();
-//   }
-//   noc.charge(bytes, path.size());
+//   co_await noc.transfer(src, dst, bytes);
 #pragma once
 
 #include <array>
@@ -82,6 +77,12 @@ class Noc {
 
   Channel& channel(uint16_t src, uint16_t dst) { return channels_[key(src, dst)]; }
 
+  /// Move one `bytes` message from node `from` to node `to`, store and
+  /// forward: each link on the XY route is held for hop + serialization
+  /// time in turn, and emits an "xfer" span when traced. Then charges the
+  /// message's energy and byte-hops.
+  sim::Process transfer(uint16_t from, uint16_t to, uint64_t bytes);
+
   /// Serialization time of `bytes` through one link, in ps.
   sim::Time serialization_ps(uint64_t bytes) const {
     return clock_.to_ps((bytes + cfg_.noc.link_bytes_per_cycle - 1) /
@@ -90,12 +91,9 @@ class Noc {
   /// Router traversal time per hop, in ps.
   sim::Time hop_ps() const { return clock_.to_ps(cfg_.noc.hop_latency_cycles); }
 
-  /// Account energy and byte-hop statistics for a delivered message.
-  void charge(uint64_t bytes, size_t hops);
-
   /// Give every link a trace row under process `pid` ("noc/r{router}/{dir}"
-  /// and "noc/gmem") and attach its queue counter. Occupancy spans are then
-  /// emitted by the transfer coroutines in core.cpp.
+  /// and "noc/gmem") and attach its queue counter; transfer() then emits
+  /// each link's occupancy spans.
   void attach_trace(telemetry::TraceSink& sink, uint32_t pid);
 
   uint64_t total_byte_hops() const { return total_byte_hops_; }
@@ -109,10 +107,13 @@ class Noc {
   uint16_t node_y(uint16_t id) const { return static_cast<uint16_t>(id / cfg_.mesh_width); }
   /// Directed link from router `a` to adjacent router `b`.
   Link& link_between(uint16_t a, uint16_t b);
+  /// Account energy and byte-hop statistics for a delivered message.
+  void charge(uint64_t bytes, size_t hops);
 
   sim::Kernel& kernel_;
   const config::ArchConfig& cfg_;
   EnergyMeter& energy_;
+  telemetry::TraceSink* trace_ = nullptr;  ///< set by attach_trace
   sim::Clock clock_;
   /// links_[router][direction]; directions: 0=+x, 1=-x, 2=+y, 3=-y.
   std::vector<std::array<std::unique_ptr<Link>, 4>> links_;

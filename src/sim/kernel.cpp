@@ -11,8 +11,11 @@ namespace pim::sim {
 
 // ------------------------------------------------------------------ Process
 
-void Process::FinalAwaiter::await_suspend(Handle h) noexcept {
+std::coroutine_handle<> Process::FinalAwaiter::await_suspend(Handle h) noexcept {
   promise_type& promise = h.promise();
+  // An awaited child hands control straight back to its caller; the
+  // caller's Process temporary destroys this frame afterwards.
+  if (promise.caller) return promise.caller;
   if (promise.kernel != nullptr) {
     promise.kernel->on_process_finished(h);
     // The frame belongs to the kernel once spawned; destroying here while
@@ -20,7 +23,7 @@ void Process::FinalAwaiter::await_suspend(Handle h) noexcept {
     // coroutine teardown.
     h.destroy();
   }
-  // If never spawned, the owning Process object destroys the frame.
+  return std::noop_coroutine();
 }
 
 void Process::promise_type::unhandled_exception() {
@@ -65,10 +68,11 @@ void Event::notify() {
 Kernel::~Kernel() {
   destroying_ = true;
   // Destroy any still-suspended process frames so leak checkers stay quiet.
-  // Snapshot the handles first: destroying a frame runs destructors (e.g. a
-  // Resource::Lease release that schedules a hand-off) which must not mutate
-  // the live list mid-walk (they don't — only final_suspend does — but the
-  // snapshot keeps iteration valid regardless).
+  // A spawned frame suspended inside `co_await child(...)` owns that child
+  // through the Process temporary, so destroying it frees the whole chain.
+  // Snapshot the handles first: destroying a frame runs destructors which
+  // must not mutate the live list mid-walk (they don't — only final_suspend
+  // does — but the snapshot keeps iteration valid regardless).
   std::vector<void*> frames;
   frames.reserve(live_count_);
   for (Process::promise_type* p = live_head_; p != nullptr; p = p->live_next) {
@@ -245,7 +249,6 @@ Time Kernel::run(Time until) {
 
 void Kernel::on_process_finished(Process::Handle h) {
   Process::promise_type& p = h.promise();
-  if (Event* done = p.done) done->notify();
   if (p.live_prev != nullptr) {
     p.live_prev->live_next = p.live_next;
   } else {
@@ -259,8 +262,9 @@ void Kernel::on_process_finished(Process::Handle h) {
 
 void Resource::release() {
   if (kernel_->destroying_) {
-    // Reachable from ~Lease while ~Kernel tears down suspended frames: the
-    // queued waiters' promises may already be freed — do not touch them.
+    // Reachable from a frame destructor while ~Kernel tears down suspended
+    // frames: the queued waiters' promises may already be freed — do not
+    // touch them.
     waiters_ = {};
     return;
   }

@@ -7,7 +7,8 @@
 //   * an ordered pending-event queue with deterministic tie-breaking
 //     (same-time events fire in schedule order),
 //   * lightweight processes written as C++20 coroutines
-//     (`Process model(...) { ...; co_await Delay{...}; ... }`),
+//     (`Process model(...) { ...; co_await Delay{...}; ... }`); a process
+//     may `co_await` another `Process` to run it as a subroutine,
 //   * `Event` for wait/notify synchronization (all waiters wake in the same
 //     delta, scheduled — not recursively resumed — so models cannot starve
 //     each other),
@@ -38,6 +39,11 @@
 //     live-process set are singly/doubly-linked lists threaded through the
 //     coroutine promise (`Process::promise_type`); steady-state simulation
 //     performs zero allocations per event.
+//   * Awaited children run inline. `co_await child_process` starts the child
+//     at once by symmetric transfer, and its final suspend transfers straight
+//     back to the caller, so a call schedules no event and takes no seq: the
+//     (time, seq) stream is the one the child's body would give written
+//     inline. Each call does allocate the child's coroutine frame.
 //
 // The kernel is single-threaded and deterministic: given the same inputs,
 // every simulation produces bit-identical results. `order_fingerprint()`
@@ -72,8 +78,12 @@ class Kernel;
 // ---------------------------------------------------------------------------
 
 /// Return type of simulation-process coroutines. A `Process` is inert until
-/// handed to `Kernel::spawn`; the kernel then resumes it at the current time
-/// and the frame self-destroys when the coroutine finishes.
+/// it is either handed to `Kernel::spawn` or awaited by another process.
+/// Spawned, the kernel resumes it at the current time and the frame
+/// self-destroys when the coroutine finishes. Awaited
+/// (`co_await child(...)`), it runs at once inside the caller's time step,
+/// the caller resumes the moment it finishes, and the `Process` temporary
+/// frees the frame at the end of the caller's `co_await` expression.
 class Process {
  public:
   struct promise_type;
@@ -81,13 +91,13 @@ class Process {
 
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }
-    void await_suspend(Handle h) noexcept;
+    std::coroutine_handle<> await_suspend(Handle h) noexcept;
     void await_resume() const noexcept {}
   };
 
   struct promise_type {
-    Kernel* kernel = nullptr;        // set by Kernel::spawn
-    class Event* done = nullptr;     // completion event, if anyone joined
+    Kernel* kernel = nullptr;          // set by Kernel::spawn
+    std::coroutine_handle<> caller{};  // set when awaited by another process
     // Intrusive links, owned by the kernel machinery (never by user code):
     // one wait-queue link (a suspended process waits on at most one Event or
     // Resource at a time) and a doubly-linked membership in the kernel's
@@ -120,6 +130,18 @@ class Process {
   ~Process() { destroy(); }
 
   bool valid() const { return static_cast<bool>(handle_); }
+
+  /// Awaiting a child: start it now and resume the caller when it finishes.
+  struct Awaiter {
+    Handle child;
+    bool await_ready() const noexcept { return false; }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) noexcept {
+      child.promise().caller = caller;
+      return child;
+    }
+    void await_resume() const noexcept {}
+  };
+  Awaiter operator co_await() && noexcept { return Awaiter{handle_}; }
 
  private:
   friend class Kernel;
@@ -387,8 +409,8 @@ class Kernel {
   size_t live_count_ = 0;
   // True while ~Kernel destroys suspended frames. Wait-queue nodes live in
   // coroutine promises, so once teardown starts, Event/Resource wake paths
-  // (reachable from frame destructors, e.g. a Resource::Lease) must not
-  // dereference queue links — the frames they point into may already be gone.
+  // (reachable from frame destructors) must not dereference queue links —
+  // the frames they point into may already be gone.
   bool destroying_ = false;
   telemetry::TraceSink* trace_ = nullptr;
   bool wall_armed_ = false;
@@ -411,9 +433,6 @@ class Kernel {
 ///   co_await adc.acquire();
 ///   co_await kernel.delay(conversion_time);
 ///   adc.release();
-///
-/// Or scoped: { auto lease = co_await adc.scoped(); ... } — note the lease
-/// releases on destruction at scope exit.
 class Resource {
  public:
   Resource(Kernel& kernel, uint32_t count) : kernel_(&kernel), available_(count), capacity_(count) {}
@@ -452,42 +471,6 @@ class Resource {
   /// TraceSink) whenever a process joins or leaves the wait queue. Purely
   /// observational; tid 0 detaches.
   void attach_trace(uint32_t tid) { trace_tid_ = tid; }
-
-  /// RAII lease helper.
-  class Lease {
-   public:
-    explicit Lease(Resource* r) : res_(r) {}
-    Lease(Lease&& o) noexcept : res_(o.res_) { o.res_ = nullptr; }
-    Lease& operator=(Lease&& o) noexcept {
-      if (this != &o) {
-        reset();
-        res_ = o.res_;
-        o.res_ = nullptr;
-      }
-      return *this;
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease() { reset(); }
-    void reset() {
-      if (res_) {
-        res_->release();
-        res_ = nullptr;
-      }
-    }
-
-   private:
-    Resource* res_;
-  };
-
-  struct ScopedAwaiter {
-    Resource* res;
-    AcquireAwaiter inner{res};
-    bool await_ready() { return inner.await_ready(); }
-    void await_suspend(Process::Handle h) { inner.await_suspend(h); }
-    Lease await_resume() { return Lease(res); }
-  };
-  ScopedAwaiter scoped() { return ScopedAwaiter{this}; }
 
  private:
   void trace_queue_changed();  // out of line: needs telemetry::TraceSink

@@ -67,9 +67,12 @@ TEST(Noc, ChargeAccountsEnergyAndBytes) {
   sim::Kernel k;
   EnergyMeter e;
   Noc noc(k, cfg, e);
-  noc.charge(100, 3);
+  k.spawn(noc.transfer(Noc::kGlobalMemNode, 3, 100));  // memory link + 2 mesh hops
+  k.run();
   EXPECT_EQ(noc.total_byte_hops(), 300u);
+  EXPECT_EQ(noc.total_messages(), 1u);
   EXPECT_DOUBLE_EQ(e.get(Component::Noc), cfg.noc.energy_pj_per_byte_hop * 300.0);
+  for (Link* l : noc.route(Noc::kGlobalMemNode, 3)) EXPECT_EQ(l->bytes_carried, 100u);
 }
 
 // ----------------------------------------------------------------- scalar

@@ -205,23 +205,6 @@ TEST(Resource, CountingAdmitsUpToCapacity) {
   EXPECT_EQ(r.available(), 2u);
 }
 
-Process scoped_user(Kernel& k, Resource& r, Time hold) {
-  auto lease = co_await r.scoped();
-  co_await k.delay(hold);
-  // lease releases at scope exit
-}
-
-TEST(Resource, ScopedLeaseReleases) {
-  Kernel k;
-  Resource r(k, 1);
-  k.spawn(scoped_user(k, r, 5));
-  k.spawn(scoped_user(k, r, 5));
-  k.run();
-  EXPECT_EQ(k.now(), 10u);
-  EXPECT_EQ(r.available(), 1u);
-  EXPECT_FALSE(r.busy());
-}
-
 TEST(Clock, CycleArithmetic) {
   Kernel k;
   Clock c(k, 1000.0);  // 1 GHz -> 1000 ps period
@@ -258,23 +241,6 @@ TEST(Kernel, DestructorReclaimsBlockedProcesses) {
   k->run();
   EXPECT_EQ(k->live_process_count(), 1u);
   k.reset();  // must destroy the suspended frame
-  EXPECT_TRUE(log.empty());
-}
-
-TEST(Kernel, DestructionWithLeaseHoldersAndQueuedWaitersIsSafe) {
-  // Teardown order regression: spawn order puts the queued waiter at the
-  // head of the live list, so its frame is destroyed *before* the lease
-  // holder's. The holder's ~Lease then calls Resource::release(), which must
-  // not dereference the (already freed) waiter's promise.
-  auto k = std::make_unique<Kernel>();
-  Resource r(*k, 1);
-  std::vector<std::pair<int, Time>> log;
-  k->spawn(scoped_user(*k, r, /*hold=*/1000));          // acquires at t=0
-  k->spawn(hold_resource(*k, r, log, 7, 5));            // queued behind it
-  k->run(/*until=*/10);
-  EXPECT_EQ(r.queue_length(), 1u);
-  EXPECT_EQ(k->live_process_count(), 2u);
-  k.reset();  // must neither crash nor touch freed frames
   EXPECT_TRUE(log.empty());
 }
 
@@ -504,6 +470,102 @@ TEST(Process, NestedSpawnRunsAtCurrentTime) {
   k.spawn(spawner_parent(k, log));
   k.run();
   EXPECT_EQ(log, (std::vector<int>{0, 1, 2}));
+}
+
+// ------------------------------------------------------- awaited children
+
+using AccessLog = std::vector<std::pair<int, Time>>;
+
+// One worker's sequence written inline: per round, a delay and two holds of
+// a shared resource, each followed by a log entry.
+Process inline_worker(Kernel& k, Resource& r, int id, AccessLog& log) {
+  for (int round = 0; round < 3; ++round) {
+    co_await k.delay(1 + static_cast<Time>(id));
+    co_await r.acquire();
+    co_await k.delay(5);
+    r.release();
+    log.push_back({id, k.now()});
+    co_await r.acquire();
+    co_await k.delay(3);
+    r.release();
+    log.push_back({id, k.now()});
+  }
+}
+
+// The same sequence as awaited children, two levels deep; note() finishes
+// without ever suspending.
+Process note(Kernel& k, int id, AccessLog& log) {
+  log.push_back({id, k.now()});
+  co_return;
+}
+
+Process access(Kernel& k, Resource& r, Time hold, int id, AccessLog& log) {
+  co_await r.acquire();
+  co_await k.delay(hold);
+  r.release();
+  co_await note(k, id, log);
+}
+
+Process round_of_accesses(Kernel& k, Resource& r, int id, AccessLog& log) {
+  co_await k.delay(1 + static_cast<Time>(id));
+  co_await access(k, r, 5, id, log);
+  co_await access(k, r, 3, id, log);
+}
+
+Process awaiting_worker(Kernel& k, Resource& r, int id, AccessLog& log) {
+  for (int round = 0; round < 3; ++round) co_await round_of_accesses(k, r, id, log);
+}
+
+TEST(Process, AwaitedChildrenMatchTheInlineSequence) {
+  // Awaiting a child runs it inline and returns straight to the caller: no
+  // event is scheduled and no seq is taken, so the (time, seq) stream of
+  // four workers contending for one resource is the one the inline code
+  // gives, down to order_fingerprint().
+  struct Result {
+    AccessLog log;
+    uint64_t fingerprint, events;
+    Time now;
+  };
+  auto run_workers = [](bool awaited) {
+    Kernel k;
+    Resource r(k, 1);
+    Result res;
+    for (int id = 0; id < 4; ++id) {
+      k.spawn(awaited ? awaiting_worker(k, r, id, res.log) : inline_worker(k, r, id, res.log));
+    }
+    k.run();
+    EXPECT_EQ(k.live_process_count(), 0u);
+    EXPECT_EQ(r.available(), 1u);
+    res.fingerprint = k.order_fingerprint();
+    res.events = k.events_executed();
+    res.now = k.now();
+    return res;
+  };
+  const Result inline_run = run_workers(false);
+  const Result awaited_run = run_workers(true);
+  ASSERT_EQ(inline_run.log.size(), 24u);
+  EXPECT_EQ(awaited_run.log, inline_run.log);
+  EXPECT_EQ(awaited_run.fingerprint, inline_run.fingerprint);
+  EXPECT_EQ(awaited_run.events, inline_run.events);
+  EXPECT_EQ(awaited_run.now, inline_run.now);
+}
+
+TEST(Kernel, TeardownWithAwaitedChildQueuedOnResourceIsClean) {
+  // A holder parks on the heap with the resource; a worker's child, two
+  // awaits deep, queues behind it. Destroying the kernel destroys the
+  // worker's frame, which owns its children through the awaited Process
+  // temporaries; the sanitizer jobs fail on any leaked or doubly freed
+  // frame and on any touch of the freed wait-queue node.
+  auto k = std::make_unique<Kernel>();
+  Resource r(*k, 1);
+  AccessLog log;
+  k->spawn(hold_resource(*k, r, log, 7, /*hold=*/1000));
+  k->spawn(awaiting_worker(*k, r, 1, log));
+  k->run(/*until=*/10);
+  EXPECT_EQ(r.queue_length(), 1u);
+  EXPECT_EQ(k->live_process_count(), 2u);
+  k.reset();
+  EXPECT_EQ(log, (AccessLog{{7, 0}}));
 }
 
 // Property-style sweep: N contenders on capacity-C resources always serialize
