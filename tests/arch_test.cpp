@@ -4,10 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "arch/chip.h"
 #include "config/arch_config.h"
 #include "isa/assembler.h"
+#include "json/json.h"
+#include "telemetry/telemetry.h"
 
 namespace pim::arch {
 namespace {
@@ -555,6 +561,270 @@ TEST(Hazards, LargerRobReducesLatencyForIndependentWork) {
   const sim::Time t1 = run_with_rob(1);
   const sim::Time t8 = run_with_rob(8);
   EXPECT_GT(t1, t8 * 3);  // near-linear overlap on independent groups
+}
+
+Instruction vec_op(Opcode op, uint32_t dst, uint32_t src1, uint32_t src2, uint32_t len,
+                   int32_t imm = 0) {
+  Instruction in = make(op);
+  in.dtype = DType::I32;
+  in.dst_addr = dst;
+  in.src1_addr = src1;
+  in.src2_addr = src2;
+  in.len = len;
+  in.imm = imm;
+  return in;
+}
+
+TEST(Hazards, WarYoungerWriteWaitsForOlderSlowRead) {
+  // Two MVMs on one crossbar group: the second waits for the group, so it
+  // reads its input at 0x0 late. The younger VSET that zeroes 0x0 conflicts
+  // with it only by WAR; on the idle vector unit it would otherwise finish
+  // long before that read.
+  Program p = empty_program(1);
+  isa::GroupDef g;
+  g.id = 0;
+  g.in_len = 4;
+  g.out_len = 2;
+  g.xbar_count = 1;
+  g.weights = {1, 2, 3, 4, 5, 6, 7, 8};  // row-major [in][out]
+  p.cores[0].groups.push_back(g);
+  isa::DataSegment x;
+  x.addr = 0x0;
+  x.bytes = {1, 2, 3, 4};
+  isa::DataSegment ones;
+  ones.addr = 0x40;
+  ones.bytes = {1, 1, 1, 1};
+  p.cores[0].lm_init = {x, ones};
+  Instruction mvm1 = make(Opcode::MVM);
+  mvm1.group = 0;
+  mvm1.src1_addr = 0x40;
+  mvm1.dst_addr = 0x100;
+  mvm1.len = 4;
+  Instruction mvm2 = mvm1;
+  mvm2.src1_addr = 0x0;
+  mvm2.dst_addr = 0x200;
+  Instruction vset = vec_op(Opcode::VSET, 0x0, 0, 0, 1, 0);  // 4 bytes of zeros
+  p.cores[0].code = {mvm1, mvm2, vset};
+  push_halt(p, 0);
+  config::ArchConfig cfg = tiny_cfg();
+  cfg.core.rob_size = 8;
+  Chip chip(cfg, p);
+  chip.run();
+  ASSERT_TRUE(chip.finished());
+  const std::vector<uint8_t>& lm = chip.core(0).lm();
+  EXPECT_EQ(read_i32(lm, 0x100, 2), (std::vector<int32_t>{16, 20}));
+  // x = {1, 2, 3, 4}: the second MVM saw the input as it was before the VSET.
+  EXPECT_EQ(read_i32(lm, 0x200, 2), (std::vector<int32_t>{50, 60}));
+  EXPECT_EQ(read_i32(lm, 0x0, 1), (std::vector<int32_t>{0}));
+}
+
+struct Span {
+  std::string name;
+  double start_us = 0;
+  double end_us = 0;
+};
+
+/// The X spans of a traced single-core run, keyed by lane name
+/// ("core0/matrix", "core0/vector", ...), in start order.
+std::map<std::string, std::vector<Span>> traced_spans(const Program& p,
+                                                      const config::ArchConfig& cfg) {
+  telemetry::TraceSink sink;
+  Chip chip(cfg, p, &sink);
+  chip.run();
+  EXPECT_TRUE(chip.finished());
+  std::map<int64_t, std::string> lane;
+  std::map<std::string, std::vector<Span>> spans;
+  const json::Value doc = sink.to_json();
+  for (const json::Value& ev : doc.at("traceEvents").as_array()) {
+    const std::string& ph = ev.at("ph").as_string();
+    if (ph == "M" && ev.at("name").as_string() == "thread_name") {
+      lane[ev.at("tid").as_int()] = ev.at("args").at("name").as_string();
+    } else if (ph == "X") {
+      const double ts = ev.at("ts").as_double();
+      spans[lane.at(ev.at("tid").as_int())].push_back(
+          Span{ev.at("name").as_string(), ts, ts + ev.at("dur").as_double()});
+    }
+  }
+  return spans;
+}
+
+/// A slow MVM, then a VADD that reads its result (RAW), then a VSET and an
+/// LDI that conflict with nothing.
+Program raw_blocked_vector_program() {
+  Program p = empty_program(1);
+  isa::GroupDef g;
+  g.id = 0;
+  g.in_len = 16;
+  g.out_len = 8;
+  g.xbar_count = 1;
+  p.cores[0].groups.push_back(g);
+  Instruction mvm = make(Opcode::MVM);
+  mvm.group = 0;
+  mvm.src1_addr = 0x0;
+  mvm.dst_addr = 0x100;
+  mvm.len = 16;
+  p.cores[0].code = {mvm, vec_op(Opcode::VADD, 0x200, 0x100, 0x100, 8),
+                     vec_op(Opcode::VSET, 0x300, 0, 0, 8, 1)};
+  Instruction ldi = make(Opcode::LDI);
+  ldi.rd = 1;
+  ldi.imm = 5;
+  p.cores[0].code.push_back(ldi);
+  push_halt(p, 0);
+  return p;
+}
+
+TEST(Hazards, VectorOpsIssueInProgramOrderBehindRawStall) {
+  config::ArchConfig cfg = tiny_cfg();
+  cfg.core.rob_size = 8;
+  auto spans = traced_spans(raw_blocked_vector_program(), cfg);
+  ASSERT_EQ(spans["core0/matrix"].size(), 1u);
+  const std::vector<Span>& vector = spans["core0/vector"];
+  ASSERT_EQ(vector.size(), 2u);
+  EXPECT_EQ(vector[0].name.rfind("vadd", 0), 0u) << vector[0].name;
+  EXPECT_EQ(vector[1].name.rfind("vset", 0), 0u) << vector[1].name;
+  // The VADD issues once the MVM is done; the hazard-free VSET behind it
+  // issues no earlier.
+  EXPECT_GE(vector[0].start_us, spans["core0/matrix"][0].end_us);
+  EXPECT_GE(vector[1].start_us, vector[0].start_us);
+}
+
+TEST(Hazards, ScalarOpBypassesStalledVectorOp) {
+  config::ArchConfig cfg = tiny_cfg();
+  cfg.core.rob_size = 8;
+  auto spans = traced_spans(raw_blocked_vector_program(), cfg);
+  const std::vector<Span>& scalar = spans["core0/scalar"];
+  ASSERT_FALSE(scalar.empty());
+  EXPECT_EQ(scalar[0].name.rfind("ldi", 0), 0u) << scalar[0].name;
+  ASSERT_EQ(spans["core0/vector"].size(), 2u);
+  // The LDI is younger than the VADD but issues while the VADD waits.
+  EXPECT_LT(scalar[0].start_us, spans["core0/vector"][0].start_us);
+  EXPECT_LT(scalar[0].end_us, spans["core0/matrix"][0].end_us);
+}
+
+TEST(Hazards, RegisterChainGivesSequentialResult) {
+  // r4 = 22 only if every read sees the value the instruction before wrote
+  // (RAW), the overwrite of r1 waits for the SADD that reads it (WAR) and
+  // lands after the LDI (WAW). The VSET marks the expected outcome.
+  const std::string code = R"(
+      ldi r1, 5
+      saddi r2, r1, 3
+      sadd r3, r2, r1
+      saddi r1, r3, 1
+      sadd r4, r1, r2
+      ldi r5, 22
+      bne r4, r5, end
+      vset 0x0, imm=1, len=1, i32
+    end:
+      halt
+  )";
+  for (uint32_t rob : {1u, 4u, 16u}) {
+    Program p = empty_program(1);
+    p.cores[0].code = isa::assemble(code).cores[0].code;
+    config::ArchConfig cfg = tiny_cfg();
+    cfg.core.rob_size = rob;
+    Chip chip(cfg, p);
+    chip.run();
+    ASSERT_TRUE(chip.finished()) << "rob " << rob;
+    EXPECT_EQ(read_i32(chip.core(0).lm(), 0x0, 1), (std::vector<int32_t>{1})) << "rob " << rob;
+  }
+}
+
+TEST(Hazards, RandomProgramsMatchInOrderExecution) {
+  // Random single-core programs over a 256-byte window of local memory, so
+  // ranges overlap often. Vector ops share one unit in program order; MVMs on
+  // two crossbar groups and GLOADs from read-only global memory run beside
+  // them, so only the RAW/WAR/WAW checks keep the classes apart. Scalar ops
+  // interleave as register traffic. ROB 1 is strictly in order; every larger
+  // ROB must leave the same final local memory.
+  constexpr uint32_t kWindow = 256;
+  constexpr uint32_t kGlobal = 0x1000;
+  for (uint32_t seed = 1; seed <= 24; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&rng](uint32_t n) { return static_cast<uint32_t>(rng() % n); };
+    Program p = empty_program(1);
+    for (uint16_t gid = 0; gid < 2; ++gid) {
+      isa::GroupDef g;
+      g.id = gid;
+      g.in_len = 8;
+      g.out_len = 4;
+      g.xbar_count = 1;
+      for (int k = 0; k < 32; ++k) g.weights.push_back(static_cast<int8_t>(pick(15)) - 7);
+      p.cores[0].groups.push_back(g);
+    }
+    isa::DataSegment init;
+    init.addr = 0;
+    for (uint32_t b = 0; b < kWindow; ++b) init.bytes.push_back(static_cast<uint8_t>(pick(256)));
+    p.cores[0].lm_init.push_back(init);
+    // A word-aligned range of `bytes` inside the window.
+    auto addr = [&](uint32_t bytes) { return 4 * pick((kWindow - bytes) / 4 + 1); };
+    std::vector<Instruction>& code = p.cores[0].code;
+    for (int i = 0; i < 48; ++i) {
+      const uint32_t len = 1 + pick(8);
+      switch (pick(8)) {
+        case 0:
+          code.push_back(
+              vec_op(Opcode::VSET, addr(4 * len), 0, 0, len, static_cast<int32_t>(pick(9))));
+          break;
+        case 1:
+          code.push_back(vec_op(Opcode::VADD, addr(4 * len), addr(4 * len), addr(4 * len), len));
+          break;
+        case 2:
+          code.push_back(vec_op(Opcode::VMULI, addr(4 * len), addr(4 * len), 0, len, 3));
+          break;
+        case 3: code.push_back(vec_op(Opcode::VMOV, addr(4 * len), addr(4 * len), 0, len)); break;
+        case 4: {
+          Instruction ldi = make(Opcode::LDI);
+          ldi.rd = static_cast<uint8_t>(1 + pick(3));
+          ldi.imm = static_cast<int32_t>(pick(100));
+          code.push_back(ldi);
+          break;
+        }
+        case 5: {
+          Instruction sadd = make(Opcode::SADD);
+          sadd.rd = static_cast<uint8_t>(1 + pick(3));
+          sadd.rs1 = static_cast<uint8_t>(1 + pick(3));
+          sadd.rs2 = static_cast<uint8_t>(1 + pick(3));
+          code.push_back(sadd);
+          break;
+        }
+        case 6: {
+          Instruction mvm = make(Opcode::MVM);
+          mvm.group = static_cast<uint16_t>(pick(2));
+          mvm.src1_addr = addr(8);
+          mvm.dst_addr = addr(16);
+          mvm.len = 8;
+          code.push_back(mvm);
+          break;
+        }
+        default: {
+          Instruction gl = make(Opcode::GLOAD);
+          gl.dtype = DType::I8;
+          gl.len = 4 * len;
+          gl.dst_addr = addr(gl.len);
+          gl.imm = static_cast<int32_t>(kGlobal + 4 * pick(16));
+          code.push_back(gl);
+          break;
+        }
+      }
+    }
+    push_halt(p, 0);
+    std::vector<uint8_t> global(128);
+    for (uint8_t& b : global) b = static_cast<uint8_t>(pick(256));
+    auto final_window = [&](uint32_t rob) {
+      config::ArchConfig cfg = tiny_cfg();
+      cfg.core.rob_size = rob;
+      Chip chip(cfg, p);
+      chip.write_global(kGlobal, global);
+      chip.run();
+      EXPECT_TRUE(chip.finished()) << "seed " << seed << " rob " << rob;
+      const std::vector<uint8_t>& lm = chip.core(0).lm();
+      return std::vector<uint8_t>(lm.begin(), lm.begin() + kWindow);
+    };
+    const std::vector<uint8_t> in_order = final_window(1);
+    for (uint32_t rob : {2u, 8u, 64u}) {
+      EXPECT_EQ(final_window(rob), in_order) << "seed " << seed << " rob " << rob;
+    }
+  }
 }
 
 TEST(Stats, RobFullStallsCounted) {

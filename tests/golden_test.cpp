@@ -66,6 +66,12 @@ runtime::Report run(const Golden& g, bool functional) {
   return report;
 }
 
+runtime::Report run_truncated(const Golden& g, uint64_t max_time_ps) {
+  Setup s(g, /*functional=*/false);
+  s.cfg.sim.max_time_ps = max_time_ps;
+  return runtime::simulate_network(s.wl.graph, s.cfg, s.copts);
+}
+
 std::string label(const Golden& g) {
   return std::string(g.model) + " rob " + std::to_string(g.rob) + " " +
          compiler::policy_name(g.policy);
@@ -126,6 +132,55 @@ TEST(GoldenReport, TimingOnlyZooOnPaperChip) {
   for (const std::string& model : nn::model_names()) {
     EXPECT_EQ(covered.count(model), 1u) << model << " has no golden";
   }
+}
+
+// The rest of the Fig. 4 sweep: ROB 1 issues strictly in order, 4 is below
+// the paper's knee and 256 leaves the ROB practically unbounded. Together
+// with the rows above these pin every ROB size the paper chip is run at.
+TEST(GoldenReport, TimingOnlyZooAcrossRobSizes) {
+  static constexpr Golden kGoldens[] = {
+      {"alexnet", 1, kPerf, 0x7afa3c99bd48e361}, {"alexnet", 1, kUtil, 0x73225579e1132611},
+      {"alexnet", 4, kPerf, 0x68aa91a54685e042}, {"alexnet", 4, kUtil, 0xe49e4a985c5b660f},
+      {"alexnet", 256, kPerf, 0xa270398268afcea6}, {"alexnet", 256, kUtil, 0x90087e32c0bbf3a3},
+      {"vgg8", 1, kPerf, 0xde00562fab7b415a}, {"vgg8", 1, kUtil, 0x5c2caf9d2f2c919f},
+      {"vgg8", 4, kPerf, 0x9a77d07b79476678}, {"vgg8", 4, kUtil, 0xa11f7d9deb68eef3},
+      {"vgg8", 256, kPerf, 0xc739faf013ddb64d}, {"vgg8", 256, kUtil, 0x6145a06c5408475c},
+      {"vgg16", 1, kPerf, 0x70753acf51e3bdf9}, {"vgg16", 1, kUtil, 0x8bb094564f79c1c1},
+      {"vgg16", 4, kPerf, 0x6874493b2f1b6ec7}, {"vgg16", 4, kUtil, 0x61d0984d1074a270},
+      {"vgg16", 256, kPerf, 0xa82acb87100e91cf}, {"vgg16", 256, kUtil, 0x8762adf04b750d65},
+      {"resnet18", 1, kPerf, 0x65169a421572f05e}, {"resnet18", 1, kUtil, 0xc1adc13d592c90f2},
+      {"resnet18", 4, kPerf, 0x2fb11757f77a67c1}, {"resnet18", 4, kUtil, 0xfde2e22426842a8d},
+      {"resnet18", 256, kPerf, 0x33b8e27aa9717e33}, {"resnet18", 256, kUtil, 0xe391317e86823459},
+      {"googlenet", 1, kPerf, 0x319890396c37a20b}, {"googlenet", 1, kUtil, 0x9f2d3a696cd94a28},
+      {"googlenet", 4, kPerf, 0xb6d0a8f66abc8c3a}, {"googlenet", 4, kUtil, 0x6fe44f9896824e68},
+      {"googlenet", 256, kPerf, 0x8211e20cd7448b36}, {"googlenet", 256, kUtil, 0xdfc0327d5a3cdd10},
+      {"squeezenet", 1, kPerf, 0xa1da8184fa3631dd}, {"squeezenet", 1, kUtil, 0x846b69e0fcc16336},
+      {"squeezenet", 4, kPerf, 0xc374655528fa76ea}, {"squeezenet", 4, kUtil, 0x417ff2c80e5f9777},
+      {"squeezenet", 256, kPerf, 0x89181a45162bc99f},
+      {"squeezenet", 256, kUtil, 0x65a950d59761c46c},
+      {"tiny_cnn", 1, kPerf, 0xdf2f30d97f1336f5}, {"tiny_cnn", 1, kUtil, 0xf007136fff7737b6},
+      {"tiny_cnn", 4, kPerf, 0xfc52b2004cf74da5}, {"tiny_cnn", 4, kUtil, 0x40a486294de3e74c},
+      {"tiny_cnn", 256, kPerf, 0x8809472349eaa47c}, {"tiny_cnn", 256, kUtil, 0x312986e8f87fb3e7},
+  };
+  for (const Golden& g : kGoldens) {
+    const uint64_t got = report_hash(run(g, /*functional=*/false));
+    EXPECT_EQ(got, g.report_hash) << label(g) << ": report drifted, fnv1a64 = 0x" << std::hex
+                                  << got;
+  }
+}
+
+// A run stopped by its simulated-time budget halfway through: the report
+// pins which layers have issued by then (a layer enters stats.layers with
+// its first issued instruction) and their partial statistics.
+TEST(GoldenReport, BudgetTruncatedRunPinsPartialLayers) {
+  const Golden g{"resnet18", 64, kPerf, 0x7d53d4d8e08d6880};
+  // About half of the 1.66 ms the whole run takes.
+  const runtime::Report report = run_truncated(g, /*max_time_ps=*/832'000'000);
+  EXPECT_FALSE(report.finished);
+  EXPECT_EQ(report.stats.layers.size(), 29u) << "of resnet18's 48 layers";
+  const uint64_t got = report_hash(report);
+  EXPECT_EQ(got, g.report_hash) << label(g) << " truncated: report drifted, fnv1a64 = 0x"
+                                << std::hex << got;
 }
 
 TEST(GoldenReport, FunctionalRunsPinOutputAndLocalMemory) {
