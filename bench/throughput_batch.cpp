@@ -14,6 +14,10 @@
 // section measures the artifact-cache win: a 4-point simulation-knob sweep
 // run once recompiling per point and once through artifact::Store (one
 // compile shared by all points), with the results checked bit-identical.
+// A "rob_scaling" section times resnet18's simulation at ROB 16 and ROB 256:
+// the event count barely moves between them, so host time should not
+// either, and flatness = ms(ROB 16) / ms(ROB 256) falls well below 1 if the
+// core's issue logic ever again rescans the ROB per completion.
 #include "bench_common.h"
 
 #include <chrono>
@@ -156,6 +160,36 @@ int main() {
               sweep_stats.program_misses == 1 ? "" : "s",
               bit_identical ? "bit-identical" : "MISMATCH");
 
+  // Host-time scaling in ROB size: one compile, min-of-3 simulate per size.
+  const std::string rob_net = "resnet18";
+  constexpr int32_t kRobInputHw = 16;
+  const std::vector<uint32_t> rob_sizes = {16, 256};
+  nn::ModelOptions rob_mopt;
+  rob_mopt.input_hw = kRobInputHw;
+  rob_mopt.init_params = false;
+  compiler::CompileOptions rob_copts;
+  rob_copts.include_weights = false;
+  const runtime::CompiledNetwork rob_compiled =
+      runtime::compile_network(nn::build_model(rob_net, rob_mopt), cfg, rob_copts);
+  std::vector<double> rob_ms;
+  for (uint32_t rob : rob_sizes) {
+    config::ArchConfig c = cfg;
+    c.core.rob_size = rob;
+    double best = 0;
+    for (int rep = 0; rep < 3; ++rep) {
+      const Clock::time_point t = Clock::now();
+      runtime::simulate_compiled(rob_compiled, c);
+      const double ms = ms_since(t);
+      best = rep == 0 ? ms : std::min(best, ms);
+    }
+    rob_ms.push_back(best);
+  }
+  const double flatness = rob_ms[1] > 0 ? rob_ms[0] / rob_ms[1] : 0.0;
+  std::printf("\nROB scaling (%s, input %d): simulate %.1f ms at ROB %u, %.1f ms at ROB %u "
+              "(flatness %.2f)\n",
+              rob_net.c_str(), kRobInputHw, rob_ms[0], rob_sizes[0], rob_ms[1], rob_sizes[1],
+              flatness);
+
   // Machine-readable trajectory for future PRs to compare against. Written
   // last, and best-effort: an unwritable path must not discard the tables
   // above.
@@ -175,6 +209,13 @@ int main() {
   sweep["program_compiles"] = json::Value(sweep_stats.program_misses);
   sweep["bit_identical"] = json::Value(bit_identical);
   out["sim_knob_sweep"] = std::move(sweep);
+  json::Value rob_scaling;
+  rob_scaling["network"] = json::Value(rob_net);
+  rob_scaling["input_hw"] = json::Value(static_cast<int64_t>(kRobInputHw));
+  rob_scaling["simulate_ms_rob16"] = json::Value(rob_ms[0]);
+  rob_scaling["simulate_ms_rob256"] = json::Value(rob_ms[1]);
+  rob_scaling["flatness"] = json::Value(flatness);
+  out["rob_scaling"] = std::move(rob_scaling);
   try {
     json::write_file(json_path, out);
     std::printf("wrote %s\n", json_path.c_str());

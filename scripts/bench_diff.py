@@ -35,6 +35,11 @@ def flatten(doc):
         # Artifact-cache win on the sim-knob sweep (higher is better).
         out["sim_knob/%s" % sweep.get("network", "?")] = {
             "cached_speedup": sweep["speedup"]}
+    rob = doc.get("rob_scaling")
+    if isinstance(rob, dict) and rob.get("flatness") is not None:
+        # Host simulate time at ROB 16 over ROB 256 (higher is better): a
+        # drop means issue cost grows with the ROB again.
+        out["rob_scaling/%s" % rob.get("network", "?")] = {"flatness": rob["flatness"]}
     return out
 
 

@@ -116,6 +116,26 @@ class BenchDiffTest(unittest.TestCase):
         self.assertIn("cached_speedup", out)
         self.assertIn("::warning", out)
 
+    def test_rob_scaling_flatness_tracked(self):
+        def doc(ms16, ms256):
+            return {"measurements": [],
+                    "rob_scaling": {"network": "resnet18", "simulate_ms_rob16": ms16,
+                                    "simulate_ms_rob256": ms256,
+                                    "flatness": ms16 / ms256}}
+        base = self.write("base.json", doc(160.0, 165.0))
+        flat = self.write("flat.json", doc(150.0, 160.0))
+        rc, out = run_diff(base, flat)
+        self.assertEqual(rc, 0)
+        self.assertIn("rob_scaling/resnet18", out)
+        self.assertIn("flatness", out)
+        self.assertNotIn("::warning", out)
+        # A ROB rescan per completion: ROB 256 several times slower than 16.
+        quadratic = self.write("quadratic.json", doc(250.0, 920.0))
+        rc, out = run_diff(base, quadratic)
+        self.assertEqual(rc, 0)
+        self.assertIn("::warning", out)
+        self.assertIn("flatness", out)
+
 
 if __name__ == "__main__":
     unittest.main()

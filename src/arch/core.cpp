@@ -91,15 +91,10 @@ const GroupDef& Core::group(uint16_t gid) const {
   return *g;
 }
 
-LayerStats* Core::layer_stats(const Instruction& in) {
-  if (in.layer_id < 0) return nullptr;
-  return &stats_.layers[in.layer_id];
-}
-
-void Core::account_wire(const Instruction& in, sim::Time wire_start, uint64_t bytes) {
-  if (LayerStats* ls = layer_stats(in)) {
-    ls->transfer_wire_ps += kernel_.now() - wire_start;
-    ls->bytes_moved += bytes;
+void Core::account_wire(const RobEntry& e, sim::Time wire_start, uint64_t bytes) {
+  if (e.layer != nullptr) {
+    e.layer->transfer_wire_ps += kernel_.now() - wire_start;
+    e.layer->bytes_moved += bytes;
   }
 }
 
@@ -121,12 +116,14 @@ sim::Process Core::dispatch_proc() {
                          kernel_.now() - stall_start);
       }
     }
-    RobEntry entry;
+    RobEntry& entry = rob_.emplace_back();
     entry.instr = &in;
+    entry.cls = in.cls();
+    entry.seq = next_seq_++;
     entry.is_branch = in.op == Opcode::JMP || in.op == Opcode::BEQ || in.op == Opcode::BNE ||
                       in.op == Opcode::BLT || in.op == Opcode::BGE;
     fill_hazard_info(entry);
-    rob_.push_back(entry);
+    waiting_[static_cast<size_t>(entry.cls)].push_back(&entry);
     request_scan();
     if (in.op == Opcode::HALT) break;
     if (entry.is_branch) {
@@ -148,7 +145,7 @@ void Core::fill_hazard_info(RobEntry& e) const {
   };
   auto write = [&e](uint32_t addr, uint64_t bytes) { e.write = Range{addr, bytes}; };
   const uint64_t ds = isa::dtype_size(in.dtype);
-  switch (in.cls()) {
+  switch (e.cls) {
     case InstrClass::Matrix: {
       const GroupDef& g = group(in.group);
       read(in.src1_addr, in.len);
@@ -214,25 +211,37 @@ void Core::fill_hazard_info(RobEntry& e) const {
   }
 }
 
-bool Core::hazards_clear(size_t index) const {
-  const RobEntry& e = rob_[index];
-  for (size_t j = 0; j < index; ++j) {
-    const RobEntry& o = rob_[j];
-    if (o.state == RobEntry::State::Done) continue;
-    // RAW: my reads vs their write.
-    for (int r = 0; r < e.read_count; ++r) {
-      if (e.reads[r].overlaps(o.write)) return false;
-    }
-    // WAW / WAR.
-    if (e.write.overlaps(o.write)) return false;
-    for (int r = 0; r < o.read_count; ++r) {
-      if (e.write.overlaps(o.reads[r])) return false;
-    }
-    // Registers.
-    if ((e.reg_reads & o.reg_writes) != 0) return false;
-    if ((e.reg_writes & (o.reg_reads | o.reg_writes)) != 0) return false;
+bool Core::conflicts(const RobEntry& e, const RobEntry& o) {
+  // RAW: my reads vs their write.
+  for (int r = 0; r < e.read_count; ++r) {
+    if (e.reads[r].overlaps(o.write)) return true;
   }
-  return true;
+  // WAW / WAR.
+  if (e.write.overlaps(o.write)) return true;
+  for (int r = 0; r < o.read_count; ++r) {
+    if (e.write.overlaps(o.reads[r])) return true;
+  }
+  // Registers.
+  return (e.reg_reads & o.reg_writes) != 0 || (e.reg_writes & (o.reg_reads | o.reg_writes)) != 0;
+}
+
+void Core::arm(RobEntry& e) {
+  e.armed = true;
+  const size_t older = e.seq - rob_.front().seq;
+  for (size_t j = 0; j < older; ++j) {
+    RobEntry& o = rob_[j];
+    if (o.state == RobEntry::State::Done || !conflicts(e, o)) continue;
+    ++e.deps;
+    uint32_t edge = free_wakeup_;
+    if (edge == kNoWakeup) {
+      edge = static_cast<uint32_t>(wakeup_pool_.size());
+      wakeup_pool_.emplace_back();
+    } else {
+      free_wakeup_ = wakeup_pool_[edge].next;
+    }
+    wakeup_pool_[edge] = Wakeup{&e, o.wakeups};
+    o.wakeups = edge;
+  }
 }
 
 void Core::request_scan() {
@@ -257,38 +266,54 @@ void Core::scan() {
   }
   // Issue: per class strictly in order; across classes, limited only by data
   // hazards (this is the dispatch-unit conflict check of paper §III-B).
-  bool blocked_class[4] = {false, false, false, false};
-  for (size_t i = 0; i < rob_.size(); ++i) {
-    RobEntry& e = rob_[i];
-    const size_t cls = static_cast<size_t>(e.instr->cls());
-    if (e.state != RobEntry::State::Waiting) continue;
-    if (!blocked_class[cls] && hazards_clear(i)) {
-      e.state = RobEntry::State::Executing;
-      e.issue_ps = kernel_.now();
-      if (LayerStats* ls = layer_stats(*e.instr)) {
-        ls->first_issue_ps = std::min(ls->first_issue_ps, e.issue_ps);
-      }
-      switch (e.instr->cls()) {
-        case InstrClass::Matrix: kernel_.spawn(exec_matrix(e)); break;
-        case InstrClass::Vector: kernel_.spawn(exec_vector(e)); break;
-        case InstrClass::Transfer: kernel_.spawn(exec_transfer(e)); break;
-        case InstrClass::Scalar: kernel_.spawn(exec_scalar(e)); break;
-      }
-    } else {
-      blocked_class[cls] = true;
+  // Issuing the oldest ready class head first spawns in ROB order.
+  for (;;) {
+    RobEntry* next = nullptr;
+    for (std::deque<RobEntry*>& fifo : waiting_) {
+      if (fifo.empty()) continue;
+      RobEntry& head = *fifo.front();
+      if (!head.armed) arm(head);
+      if (head.deps == 0 && (next == nullptr || head.seq < next->seq)) next = &head;
     }
+    if (next == nullptr) break;
+    waiting_[static_cast<size_t>(next->cls)].pop_front();
+    issue(*next);
+  }
+}
+
+void Core::issue(RobEntry& e) {
+  e.state = RobEntry::State::Executing;
+  e.issue_ps = kernel_.now();
+  if (e.instr->layer_id >= 0) {
+    e.layer = &stats_.layers[e.instr->layer_id];
+    e.layer->first_issue_ps = std::min(e.layer->first_issue_ps, e.issue_ps);
+  }
+  switch (e.cls) {
+    case InstrClass::Matrix: kernel_.spawn(exec_matrix(e)); break;
+    case InstrClass::Vector: kernel_.spawn(exec_vector(e)); break;
+    case InstrClass::Transfer: kernel_.spawn(exec_transfer(e)); break;
+    case InstrClass::Scalar: kernel_.spawn(exec_scalar(e)); break;
   }
 }
 
 void Core::complete(RobEntry& e) {
   e.state = RobEntry::State::Done;
+  for (uint32_t edge = e.wakeups; edge != kNoWakeup;) {
+    Wakeup& w = wakeup_pool_[edge];
+    --w.waiter->deps;
+    const uint32_t next = w.next;
+    w.next = free_wakeup_;
+    free_wakeup_ = edge;
+    edge = next;
+  }
+  e.wakeups = kNoWakeup;
   const sim::Time dur = kernel_.now() - e.issue_ps;
   if (trace_ != nullptr) {
-    trace_->complete(unit_tids_[static_cast<size_t>(e.instr->cls())],
-                     isa::to_string(*e.instr), e.issue_ps, dur);
+    trace_->complete(unit_tids_[static_cast<size_t>(e.cls)], isa::to_string(*e.instr),
+                     e.issue_ps, dur);
   }
   UnitStats* unit = nullptr;
-  switch (e.instr->cls()) {
+  switch (e.cls) {
     case InstrClass::Matrix: unit = &my_stats_.matrix; break;
     case InstrClass::Vector: unit = &my_stats_.vector; break;
     case InstrClass::Transfer: unit = &my_stats_.transfer; break;
@@ -296,9 +321,9 @@ void Core::complete(RobEntry& e) {
   }
   ++unit->ops;
   unit->busy_ps += dur;
-  if (LayerStats* ls = layer_stats(*e.instr)) {
+  if (LayerStats* ls = e.layer) {
     ls->last_complete_ps = std::max(ls->last_complete_ps, kernel_.now());
-    switch (e.instr->cls()) {
+    switch (e.cls) {
       case InstrClass::Matrix:
         ls->matrix_busy_ps += dur;
         ++ls->mvm_count;
@@ -515,7 +540,7 @@ sim::Process Core::exec_transfer(RobEntry& e) {
       }
       my_stats_.bytes_sent += bytes;
       dst.stats().bytes_received += bytes;
-      account_wire(in, wire_start, bytes);
+      account_wire(e, wire_start, bytes);
       recv.delivered->notify();
       break;
     }
@@ -544,7 +569,7 @@ sim::Process Core::exec_transfer(RobEntry& e) {
         std::memcpy(lm_.data() + in.dst_addr, data.data(), bytes);
       }
       my_stats_.bytes_received += bytes;
-      account_wire(in, wire_start, bytes);
+      account_wire(e, wire_start, bytes);
       break;
     }
     case Opcode::GSTORE: {
@@ -561,7 +586,7 @@ sim::Process Core::exec_transfer(RobEntry& e) {
         chip_.write_global(gaddr, payload);
       }
       my_stats_.bytes_sent += bytes;
-      account_wire(in, wire_start, bytes);
+      account_wire(e, wire_start, bytes);
       break;
     }
     default:

@@ -10,6 +10,15 @@
 //    in-flight entry remains (local-memory ranges + scalar registers, all of
 //    RAW/WAR/WAW), and (b) no older instruction of the same class is still
 //    un-issued (units process their class in program order).
+//  * Issue is event-driven, in the issue-window/wakeup shape of SESC. Each
+//    class keeps a FIFO of its Waiting entries. When an entry first reaches
+//    the head of its FIFO it counts the older non-Done entries it conflicts
+//    with (`deps`) and joins each one's wakeup list; a completing entry
+//    decrements the deps of everything on its list. A scan then issues the
+//    oldest class head with deps == 0, repeatedly, until no head qualifies.
+//    Done is monotonic and entries only arrive younger, so deps always equals
+//    the number of older non-Done conflicts, and each scan spawns the same
+//    entries in the same ROB order as a full walk of the ROB would.
 //  * Units execute concurrently; completion is out of order; retirement is
 //    in order from the ROB head.
 //  * The matrix unit admits concurrent MVMs on *different* crossbar groups;
@@ -22,6 +31,7 @@
 // checked against the nn reference executor bit-for-bit.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -68,16 +78,31 @@ class Core {
     }
   };
 
+  static constexpr uint32_t kNoWakeup = UINT32_MAX;  ///< end of a wakeup list
+
   struct RobEntry {
     const isa::Instruction* instr = nullptr;
+    isa::InstrClass cls = isa::InstrClass::Scalar;
     enum class State { Waiting, Executing, Done } state = State::Waiting;
+    uint64_t seq = 0;     ///< program-order dispatch index
+    bool armed = false;   ///< deps counted (once, at the head of its class FIFO)
+    uint32_t deps = 0;    ///< older non-Done entries this one conflicts with
+    uint32_t wakeups = kNoWakeup;  ///< head of the list of younger entries waiting on it
     Range reads[2];
     int read_count = 0;
     Range write;
     uint32_t reg_reads = 0;   ///< bitmask of registers read
     uint32_t reg_writes = 0;  ///< bitmask of registers written
     sim::Time issue_ps = 0;
+    LayerStats* layer = nullptr;  ///< stats_.layers entry, looked up at issue
     bool is_branch = false;
+  };
+
+  /// One edge of a wakeup list: `waiter` counts the list's owner in its deps.
+  /// Edges live in a per-core pool (wakeup_pool_) linked by index.
+  struct Wakeup {
+    RobEntry* waiter = nullptr;
+    uint32_t next = kNoWakeup;
   };
 
   // -- processes ------------------------------------------------------------
@@ -93,16 +118,21 @@ class Core {
 
   // -- ROB machinery ----------------------------------------------------------
   void fill_hazard_info(RobEntry& e) const;
-  bool hazards_clear(size_t index) const;
+  /// True when `e` must wait for the older entry `o` (RAW/WAR/WAW on local
+  /// memory or registers).
+  static bool conflicts(const RobEntry& e, const RobEntry& o);
+  /// Count `e`'s deps against the older non-Done entries and join their
+  /// wakeup lists.
+  void arm(RobEntry& e);
   void request_scan();
-  void scan();  ///< retire from head, then issue ready entries
+  void scan();  ///< retire from head, then issue ready class heads
+  void issue(RobEntry& e);
   void complete(RobEntry& e);
 
   // -- helpers ----------------------------------------------------------------
   const isa::GroupDef& group(uint16_t id) const;
-  LayerStats* layer_stats(const isa::Instruction& in);
   /// Book a transfer's wire time (wire_start to now) and bytes to its layer.
-  void account_wire(const isa::Instruction& in, sim::Time wire_start, uint64_t bytes);
+  void account_wire(const RobEntry& e, sim::Time wire_start, uint64_t bytes);
 
   sim::Kernel& kernel_;
   const config::ArchConfig& cfg_;
@@ -129,8 +159,13 @@ class Core {
   sim::Resource adc_pool_;
   std::vector<std::unique_ptr<sim::Resource>> group_locks_;  // index: group id
 
-  // ROB.
+  // ROB. Entries never move (deque push_back/pop_front keep references), so
+  // the class FIFOs, wakeup edges and exec processes point into it.
   std::deque<RobEntry> rob_;
+  uint64_t next_seq_ = 0;
+  std::array<std::deque<RobEntry*>, 4> waiting_;  ///< per InstrClass, in program order
+  std::vector<Wakeup> wakeup_pool_;
+  uint32_t free_wakeup_ = kNoWakeup;  ///< head of the pool's free list
   sim::Event rob_slot_freed_;
   sim::Event branch_resolved_;
   int32_t branch_target_ = -1;  ///< -1 = fall-through, else new pc

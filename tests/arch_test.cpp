@@ -673,32 +673,44 @@ Program raw_blocked_vector_program() {
   return p;
 }
 
+/// The span on `lane` whose name starts with `mnemonic`; fails the test
+/// unless there is exactly one.
+Span only_span(const std::map<std::string, std::vector<Span>>& spans, const std::string& lane,
+               const std::string& mnemonic) {
+  std::vector<Span> found;
+  if (auto it = spans.find(lane); it != spans.end()) {
+    for (const Span& s : it->second) {
+      if (s.name.rfind(mnemonic, 0) == 0) found.push_back(s);
+    }
+  }
+  EXPECT_EQ(found.size(), 1u) << mnemonic << " on " << lane;
+  return found.empty() ? Span{} : found.front();
+}
+
 TEST(Hazards, VectorOpsIssueInProgramOrderBehindRawStall) {
   config::ArchConfig cfg = tiny_cfg();
   cfg.core.rob_size = 8;
-  auto spans = traced_spans(raw_blocked_vector_program(), cfg);
-  ASSERT_EQ(spans["core0/matrix"].size(), 1u);
-  const std::vector<Span>& vector = spans["core0/vector"];
-  ASSERT_EQ(vector.size(), 2u);
-  EXPECT_EQ(vector[0].name.rfind("vadd", 0), 0u) << vector[0].name;
-  EXPECT_EQ(vector[1].name.rfind("vset", 0), 0u) << vector[1].name;
+  const auto spans = traced_spans(raw_blocked_vector_program(), cfg);
+  const Span mvm = only_span(spans, "core0/matrix", "mvm");
+  const Span vadd = only_span(spans, "core0/vector", "vadd");
+  const Span vset = only_span(spans, "core0/vector", "vset");
   // The VADD issues once the MVM is done; the hazard-free VSET behind it
   // issues no earlier.
-  EXPECT_GE(vector[0].start_us, spans["core0/matrix"][0].end_us);
-  EXPECT_GE(vector[1].start_us, vector[0].start_us);
+  EXPECT_GE(vadd.start_us, mvm.end_us);
+  EXPECT_GE(vset.start_us, vadd.start_us);
 }
 
 TEST(Hazards, ScalarOpBypassesStalledVectorOp) {
   config::ArchConfig cfg = tiny_cfg();
   cfg.core.rob_size = 8;
-  auto spans = traced_spans(raw_blocked_vector_program(), cfg);
-  const std::vector<Span>& scalar = spans["core0/scalar"];
-  ASSERT_FALSE(scalar.empty());
-  EXPECT_EQ(scalar[0].name.rfind("ldi", 0), 0u) << scalar[0].name;
-  ASSERT_EQ(spans["core0/vector"].size(), 2u);
-  // The LDI is younger than the VADD but issues while the VADD waits.
-  EXPECT_LT(scalar[0].start_us, spans["core0/vector"][0].start_us);
-  EXPECT_LT(scalar[0].end_us, spans["core0/matrix"][0].end_us);
+  const auto spans = traced_spans(raw_blocked_vector_program(), cfg);
+  const Span mvm = only_span(spans, "core0/matrix", "mvm");
+  const Span vadd = only_span(spans, "core0/vector", "vadd");
+  const Span ldi = only_span(spans, "core0/scalar", "ldi");
+  // The LDI is younger than the VADD but issues, and finishes, while the
+  // VADD still waits for the MVM.
+  EXPECT_LT(ldi.start_us, vadd.start_us);
+  EXPECT_LT(ldi.end_us, mvm.end_us);
 }
 
 TEST(Hazards, RegisterChainGivesSequentialResult) {
