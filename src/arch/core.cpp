@@ -227,9 +227,8 @@ bool Core::conflicts(const RobEntry& e, const RobEntry& o) {
 
 void Core::arm(RobEntry& e) {
   e.armed = true;
-  const size_t older = e.seq - rob_.front().seq;
-  for (size_t j = 0; j < older; ++j) {
-    RobEntry& o = rob_[j];
+  for (auto it = rob_.begin(); it->seq != e.seq; ++it) {
+    RobEntry& o = *it;
     if (o.state == RobEntry::State::Done || !conflicts(e, o)) continue;
     ++e.deps;
     uint32_t edge = free_wakeup_;
