@@ -5,7 +5,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
+#include "common/strings.h"
 #include "config/arch_config.h"
 #include "dse/cache.h"
 #include "dse/evaluator.h"
@@ -678,6 +680,103 @@ TEST(DseWorkloadTest, SpaceLevelWorkloadObjectParses) {
     "base": "tiny", "model": "mlp", "workload": "mlp", "knobs": {"rob_size": [4]}
   })")),
                std::invalid_argument);
+}
+
+// ------------------------------------------------------------ graph goldens
+//
+// Graph fingerprints key the dse result cache and the pimserved on-disk
+// cache, and exported files are what users keep, so the graph serialization
+// must reproduce every hash below exactly. A change to any of them must be
+// deliberate: update it and say why in CHANGES.md.
+
+constexpr uint64_t kGoldenWeightSeed = 3;
+
+nn::Graph golden_graph(const std::string& model, int32_t input_hw, bool params) {
+  nn::ModelOptions mopt;
+  mopt.input_hw = input_hw;
+  mopt.init_params = params;
+  mopt.weight_seed = kGoldenWeightSeed;
+  return nn::build_model(model, mopt);
+}
+
+std::string hex(uint64_t h) { return strformat("%016llx", static_cast<unsigned long long>(h)); }
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+}
+
+TEST(GraphGoldenTest, ZooFingerprints) {
+  struct Golden {
+    const char* model;
+    int32_t input_hw;
+    bool params;
+    uint64_t fingerprint;
+  };
+  static constexpr Golden kGoldens[] = {
+      {"alexnet", 16, false, 0xc5ffbacb11ef27beull},
+      {"alexnet", 16, true, 0x478ba85936f7ea1full},
+      {"alexnet", 32, false, 0xdf0a387feec87106ull},
+      {"alexnet", 32, true, 0x9066b94da3f517e5ull},
+      {"googlenet", 16, false, 0x99504e5fa9802334ull},
+      {"googlenet", 16, true, 0x06b6ba77fb102770ull},
+      {"googlenet", 32, false, 0xc254a9ddc8542830ull},
+      {"googlenet", 32, true, 0x63e45d16e41fde14ull},
+      {"resnet18", 16, false, 0x42628b2c56cc034aull},
+      {"resnet18", 16, true, 0x630ddcd11c116ef3ull},
+      {"resnet18", 32, false, 0x15e97f162ac7956eull},
+      {"resnet18", 32, true, 0x7494de3a269e4857ull},
+      {"squeezenet", 16, false, 0x742c1605cb9b6ec5ull},
+      {"squeezenet", 16, true, 0x2f34ed791d2743faull},
+      {"squeezenet", 32, false, 0x2d1f7756ca920529ull},
+      {"squeezenet", 32, true, 0x2464160a1036d9eeull},
+      {"tiny_cnn", 16, false, 0x407f5a7d1bc965e3ull},
+      {"tiny_cnn", 16, true, 0x6f01a18066234a8aull},
+      {"tiny_cnn", 32, false, 0x49e3b9bd8d1a7dd7ull},
+      {"tiny_cnn", 32, true, 0xfe37a0c24401925bull},
+      {"vgg16", 16, false, 0xc48d84ce270817ecull},
+      {"vgg16", 16, true, 0x2622a2bfc62a7d20ull},
+      {"vgg16", 32, false, 0x6bd0a36fd10e0ee8ull},
+      {"vgg16", 32, true, 0xfc60d5d0b451e1ccull},
+      {"vgg8", 16, false, 0xcafd056ff4a63308ull},
+      {"vgg8", 16, true, 0xe6770572b31f4146ull},
+      {"vgg8", 32, false, 0x4d5f49155084f20cull},
+      {"vgg8", 32, true, 0x7fc44343e00aaf42ull},
+  };
+  ASSERT_EQ(std::size(kGoldens), 4 * nn::model_names().size());
+  for (const Golden& g : kGoldens) {
+    EXPECT_EQ(hex(graph_fingerprint(golden_graph(g.model, g.input_hw, g.params))),
+              hex(g.fingerprint))
+        << g.model << " at " << g.input_hw << (g.params ? ", seeded params" : ", no params");
+  }
+}
+
+TEST(GraphGoldenTest, ExportedFileBytesAndSpecFingerprints) {
+  struct Golden {
+    const char* model;
+    int32_t input_hw;
+    bool params;
+    uint64_t file_bytes;        ///< fnv1a64 of the exported file
+    uint64_t spec_fingerprint;  ///< WorkloadSpec::fingerprint() of that file
+  };
+  static constexpr Golden kGoldens[] = {
+      {"tiny_cnn", 16, true, 0x1ff17a92cdf38e68ull, 0xae05e1d5bbe97b37ull},
+      {"tiny_cnn", 16, false, 0x3a9227bafb7c701dull, 0x351966e04f5cc3baull},
+      {"squeezenet", 16, true, 0xbf35950683276052ull, 0xca0a47573a657181ull},
+      {"squeezenet", 16, false, 0x5a512ae934dd568bull, 0x09edd6e9c3402857ull},
+      {"resnet18", 16, false, 0x2b0722d1d2de67d2ull, 0x45920b1c04b9e308ull},
+      {"googlenet", 16, false, 0xb3fbff596f605e14ull, 0x5205ec189dd3eb0dull},
+  };
+  for (const Golden& g : kGoldens) {
+    const std::string what =
+        std::string(g.model) + (g.params ? " with params" : " without params");
+    const std::string path = temp_path(std::string("golden_") + g.model +
+                                       (g.params ? "_params" : "_topo") + ".json");
+    export_graph(golden_graph(g.model, g.input_hw, g.params), path, g.params);
+    EXPECT_EQ(hex(fnv1a64(read_bytes(path))), hex(g.file_bytes)) << what;
+    EXPECT_EQ(hex(WorkloadSpec::graph_file(path).fingerprint()), hex(g.spec_fingerprint))
+        << what;
+  }
 }
 
 }  // namespace
