@@ -92,8 +92,8 @@ std::string dirname(std::string_view path) {
   return std::string(path.substr(0, slash));
 }
 
-uint64_t fnv1a64(std::string_view data) {
-  uint64_t h = 0xcbf29ce484222325ull;
+uint64_t fnv1a64(std::string_view data, uint64_t seed) {
+  uint64_t h = seed;
   for (const char c : data) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ull;

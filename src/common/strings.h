@@ -1,6 +1,7 @@
 // Small string helpers shared across the framework.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,9 +34,14 @@ std::string dirname(std::string_view path);
 /// printf-style formatting into a std::string.
 std::string strformat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// FNV-1a 64-bit offset basis: the hash of no bytes.
+inline constexpr uint64_t kFnv1a64Basis = 0xcbf29ce484222325ull;
+
 /// FNV-1a 64-bit content hash (stable across platforms and runs) — the
 /// shared fingerprint primitive of the dse result cache and the workload
-/// layer.
-uint64_t fnv1a64(std::string_view data);
+/// layer. `seed` continues a running hash, so hashing a stream chunk by
+/// chunk, each call seeded with the previous result, equals one call over
+/// the concatenation.
+uint64_t fnv1a64(std::string_view data, uint64_t seed = kFnv1a64Basis);
 
 }  // namespace pim

@@ -1,11 +1,11 @@
 #include "json/json.h"
 
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
-#include <sstream>
-
-#include "common/strings.h"
 
 namespace pim::json {
 
@@ -120,7 +120,137 @@ bool Value::operator==(const Value& other) const {
 // ---------------------------------------------------------------- serializer
 
 namespace {
-void dump_string(std::string& out, const std::string& s) {
+/// Output handed to a Writer's sink at a time.
+constexpr size_t kWriterChunk = size_t{64} << 10;
+
+/// Decimal text of one int8 value ("-128" is the longest).
+struct Int8Text {
+  char text[4];
+  uint8_t size;
+};
+
+/// Indexed by the value's bit pattern (static_cast<uint8_t>).
+const std::array<Int8Text, 256> kInt8Texts = [] {
+  std::array<Int8Text, 256> table{};
+  for (int v = -128; v <= 127; ++v) {
+    Int8Text& t = table[static_cast<uint8_t>(v)];
+    t.size = static_cast<uint8_t>(std::to_chars(t.text, t.text + sizeof t.text, v).ptr - t.text);
+  }
+  return table;
+}();
+}  // namespace
+
+Writer::Writer(std::string& out, int indent) : out_(&out), indent_(indent) {}
+
+Writer::Writer(Sink sink, int indent)
+    : out_(&buffer_), sink_(std::move(sink)), indent_(indent) {
+  buffer_.reserve(kWriterChunk + 256);
+}
+
+void Writer::flush() {
+  if (!sink_ || buffer_.empty()) return;
+  sink_(buffer_);
+  buffer_.clear();
+}
+
+void Writer::wrote() {
+  if (sink_ && buffer_.size() >= kWriterChunk) flush();
+}
+
+void Writer::newline_indent(size_t depth) {
+  if (indent_ < 0) return;
+  *out_ += '\n';
+  out_->append(static_cast<size_t>(indent_) * depth, ' ');
+}
+
+/// The separator before a value: none after a key or at the top level, else
+/// a comma after the first member and the line break of pretty output.
+void Writer::before_value() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (open_.empty()) return;
+  if (open_.back()) *out_ += ',';
+  open_.back() = 1;
+  newline_indent(open_.size());
+}
+
+Writer& Writer::begin_object() {
+  before_value();
+  *out_ += '{';
+  open_.push_back(0);
+  return *this;
+}
+
+Writer& Writer::end_object() {
+  const bool members = open_.back();
+  open_.pop_back();
+  if (members) newline_indent(open_.size());
+  *out_ += '}';
+  wrote();
+  return *this;
+}
+
+Writer& Writer::begin_array() {
+  before_value();
+  *out_ += '[';
+  open_.push_back(0);
+  return *this;
+}
+
+Writer& Writer::end_array() {
+  const bool members = open_.back();
+  open_.pop_back();
+  if (members) newline_indent(open_.size());
+  *out_ += ']';
+  wrote();
+  return *this;
+}
+
+Writer& Writer::key(std::string_view k) {
+  string(k);
+  *out_ += indent_ < 0 ? ":" : ": ";
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::null() {
+  before_value();
+  *out_ += "null";
+  wrote();
+  return *this;
+}
+
+Writer& Writer::boolean(bool b) {
+  before_value();
+  *out_ += b ? "true" : "false";
+  wrote();
+  return *this;
+}
+
+Writer& Writer::integer(int64_t i) {
+  before_value();
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, i);
+  out_->append(buf, res.ptr);
+  wrote();
+  return *this;
+}
+
+Writer& Writer::number(double d) {
+  if (!std::isfinite(d)) return null();  // JSON has no inf/nan
+  before_value();
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", d);
+  *out_ += buf;
+  wrote();
+  return *this;
+}
+
+Writer& Writer::string(std::string_view s) {
+  before_value();
+  std::string& out = *out_;
   out += '"';
   for (char c : s) {
     switch (c) {
@@ -142,326 +272,364 @@ void dump_string(std::string& out, const std::string& s) {
     }
   }
   out += '"';
+  wrote();
+  return *this;
 }
 
-void newline_indent(std::string& out, int indent, int depth) {
-  if (indent < 0) return;
-  out += '\n';
-  out.append(static_cast<size_t>(indent) * depth, ' ');
-}
-}  // namespace
-
-void Value::dump_impl(std::string& out, int indent, int depth) const {
-  switch (type_) {
-    case Type::Null: out += "null"; break;
-    case Type::Bool: out += bool_ ? "true" : "false"; break;
-    case Type::Int: out += std::to_string(int_); break;
-    case Type::Double: {
-      if (std::isfinite(double_)) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.17g", double_);
-        out += buf;
-      } else {
-        out += "null";  // JSON has no inf/nan
+Writer& Writer::value(const Value& v) {
+  switch (v.type()) {
+    case Type::Null: return null();
+    case Type::Bool: return boolean(v.as_bool());
+    case Type::Int: return integer(v.as_int());
+    case Type::Double: return number(v.as_double());
+    case Type::String: return string(v.as_string());
+    case Type::Array:
+      begin_array();
+      for (const Value& e : v.as_array()) value(e);
+      return end_array();
+    case Type::Object:
+      begin_object();
+      for (const auto& [k, e] : v.as_object()) {
+        key(k);
+        value(e);
       }
-      break;
-    }
-    case Type::String: dump_string(out, string_); break;
-    case Type::Array: {
-      out += '[';
-      for (size_t i = 0; i < array_.size(); ++i) {
-        if (i) out += ',';
-        newline_indent(out, indent, depth + 1);
-        array_[i].dump_impl(out, indent, depth + 1);
-      }
-      if (!array_.empty()) newline_indent(out, indent, depth);
-      out += ']';
-      break;
-    }
-    case Type::Object: {
-      out += '{';
-      size_t i = 0;
-      for (const auto& [k, v] : object_) {
-        if (i++) out += ',';
-        newline_indent(out, indent, depth + 1);
-        dump_string(out, k);
-        out += indent < 0 ? ":" : ": ";
-        v.dump_impl(out, indent, depth + 1);
-      }
-      if (!object_.empty()) newline_indent(out, indent, depth);
-      out += '}';
-      break;
-    }
+      return end_object();
   }
+  return *this;
 }
+
+template <typename Int>
+Writer& Writer::integer_array(std::span<const Int> values) {
+  begin_array();
+  // What before_value() writes ahead of each element; the first one goes
+  // without the comma.
+  std::string sep = ",";
+  if (indent_ >= 0) {
+    sep += '\n';
+    sep.append(static_cast<size_t>(indent_) * open_.size(), ' ');
+  }
+  char local[4096];
+  if (values.empty() || sep.size() > sizeof local / 2) {  // absurd depth: one by one
+    for (const Int x : values) integer(x);
+    return end_array();
+  }
+  size_t n = 0;
+  std::string_view next = std::string_view(sep).substr(1);
+  for (const Int x : values) {
+    if (n + next.size() + 24 > sizeof local) {
+      out_->append(local, n);
+      n = 0;
+      wrote();
+    }
+    std::memcpy(local + n, next.data(), next.size());
+    n += next.size();
+    if constexpr (sizeof(Int) == 1) {
+      // Table lookup: to_chars branches on the digit count, which random
+      // weights make unpredictable.
+      const Int8Text& t = kInt8Texts[static_cast<uint8_t>(x)];
+      std::memcpy(local + n, t.text, sizeof t.text);
+      n += t.size;
+    } else {
+      n = static_cast<size_t>(std::to_chars(local + n, local + sizeof local, x).ptr - local);
+    }
+    next = sep;
+  }
+  out_->append(local, n);
+  open_.back() = 1;
+  return end_array();
+}
+
+Writer& Writer::integers(std::span<const int8_t> values) { return integer_array(values); }
+Writer& Writer::integers(std::span<const int32_t> values) { return integer_array(values); }
 
 std::string Value::dump(int indent) const {
   std::string out;
-  dump_impl(out, indent, 0);
+  Writer(out, indent).value(*this);
   return out;
 }
 
 // ------------------------------------------------------------------- parser
 
-namespace {
-class Parser {
- public:
-  /// Containers may nest at most this deep. The recursive-descent parser
-  /// spends one host stack frame per level, so an unbounded document (the
-  /// parser also reads socket input — see pim::serve) could overflow the
-  /// stack; 256 is far beyond any real config while keeping worst-case stack
-  /// use trivial.
-  static constexpr int kMaxDepth = 256;
-
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Value parse_document() {
-    Value v = parse_value(0);
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& msg) {
-    size_t line = 1, col = 1;
-    for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-      if (text_[i] == '\n') {
-        ++line;
-        col = 1;
-      } else {
-        ++col;
-      }
-    }
-    throw Error("json parse error at line " + std::to_string(line) + ", col " +
-                std::to_string(col) + ": " + msg);
-  }
-
-  char peek() { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  char get() { return pos_ < text_.size() ? text_[pos_++] : '\0'; }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else if (c == '/' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '/') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else {
-        break;
-      }
+void Reader::fail(const std::string& msg) const {
+  size_t line = 1, col = 1;
+  for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
+    if (text_[i] == '\n') {
+      ++line;
+      col = 1;
+    } else {
+      ++col;
     }
   }
+  throw Error("json parse error at line " + std::to_string(line) + ", col " +
+              std::to_string(col) + ": " + msg);
+}
 
-  void expect(char c) {
-    if (get() != c) {
-      --pos_;
-      fail(std::string("expected '") + c + "'");
+void Reader::skip_ws() {
+  // Scan with a local pointer: a store to pos_ per character would be
+  // reloaded around every char read, which may alias it.
+  const char* p = text_.data() + pos_;
+  const char* const end = text_.data() + text_.size();
+  while (p != end) {
+    const char c = *p;
+    if (c == ' ' || c == '\n' || c == '\t' || c == '\r') {
+      ++p;
+    } else if (c == '/' && p + 1 != end && p[1] == '/') {
+      while (p != end && *p != '\n') ++p;
+    } else {
+      break;
     }
   }
+  pos_ = static_cast<size_t>(p - text_.data());
+}
 
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
+char Reader::peek_char() {
+  skip_ws();
+  return pos_ < text_.size() ? text_[pos_] : '\0';
+}
+
+void Reader::expect(char c) {
+  if (peek_char() != c) fail(std::string("expected '") + c + "'");
+  ++pos_;
+}
+
+bool Reader::consume_literal(std::string_view lit) {
+  if (text_.substr(pos_, lit.size()) == lit) {
+    pos_ += lit.size();
+    return true;
+  }
+  return false;
+}
+
+Type Reader::peek() {
+  switch (peek_char()) {
+    case '{': return Type::Object;
+    case '[': return Type::Array;
+    case '"': return Type::String;
+    case 't':
+    case 'f': return Type::Bool;
+    case 'n': return Type::Null;
+    default: return Type::Int;
+  }
+}
+
+void Reader::open(char c) {
+  if (peek_char() == c && open_.size() >= kMaxDepth) {
+    fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+  }
+  expect(c);
+  open_.push_back(0);
+}
+
+void Reader::begin_object() { open('{'); }
+void Reader::begin_array() { open('['); }
+
+bool Reader::next_key(std::string& key) {
+  char c = peek_char();
+  if (c != '}' && open_.back()) {
+    if (c != ',') fail("expected ',' or '}' in object");
+    ++pos_;
+    c = peek_char();
+  }
+  if (c == '}') {  // end of the object, possibly after a trailing comma
+    ++pos_;
+    open_.pop_back();
     return false;
   }
+  open_.back() = 1;
+  key.clear();
+  read_string_into(key);
+  expect(':');
+  return true;
+}
 
-  Value parse_value(int depth) {
-    skip_ws();
-    char c = peek();
-    switch (c) {
-      case '{':
-      case '[':
-        if (depth >= kMaxDepth) {
-          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+bool Reader::next_element() {
+  char c = peek_char();
+  if (c != ']' && open_.back()) {
+    if (c != ',') fail("expected ',' or ']' in array");
+    ++pos_;
+    c = peek_char();
+  }
+  if (c == ']') {  // end of the array, possibly after a trailing comma
+    ++pos_;
+    open_.pop_back();
+    return false;
+  }
+  open_.back() = 1;
+  return true;
+}
+
+std::string Reader::read_string() {
+  std::string out;
+  read_string_into(out);
+  return out;
+}
+
+void Reader::read_string_into(std::string& out) {
+  expect('"');
+  while (true) {
+    // Copy the run up to the next quote or escape in one piece.
+    const size_t stop = text_.find_first_of("\"\\", pos_);
+    if (stop == std::string_view::npos) {
+      pos_ = text_.size();
+      fail("unterminated string");
+    }
+    out.append(text_.data() + pos_, stop - pos_);
+    pos_ = stop + 1;
+    if (text_[stop] == '"') return;
+    const char esc = pos_ < text_.size() ? text_[pos_++] : '\0';
+    switch (esc) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'n': out += '\n'; break;
+      case 't': out += '\t'; break;
+      case 'r': out += '\r'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'u': {
+        unsigned code = read_hex4();
+        // Surrogates are only meaningful as a \uD8xx\uDCxx pair naming an
+        // astral code point; a lone half is not a code point at all, and
+        // encoding it would emit invalid UTF-8. Reject unpaired halves with
+        // a precise message.
+        if (code >= 0xDC00 && code <= 0xDFFF) {
+          fail("unpaired low surrogate in \\u escape");
         }
-        return c == '{' ? parse_object(depth) : parse_array(depth);
-      case '"': return Value(parse_string());
-      case 't':
-        if (consume_literal("true")) return Value(true);
-        fail("invalid literal");
-      case 'f':
-        if (consume_literal("false")) return Value(false);
-        fail("invalid literal");
-      case 'n':
-        if (consume_literal("null")) return Value(nullptr);
-        fail("invalid literal");
-      default: return parse_number();
-    }
-  }
-
-  Value parse_object(int depth) {
-    expect('{');
-    Object obj;
-    skip_ws();
-    if (peek() == '}') {
-      get();
-      return Value(std::move(obj));
-    }
-    while (true) {
-      skip_ws();
-      if (peek() == '}') {  // trailing comma
-        get();
-        return Value(std::move(obj));
-      }
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      obj[std::move(key)] = parse_value(depth + 1);
-      skip_ws();
-      char c = get();
-      if (c == '}') return Value(std::move(obj));
-      if (c != ',') {
-        --pos_;
-        fail("expected ',' or '}' in object");
-      }
-    }
-  }
-
-  Value parse_array(int depth) {
-    expect('[');
-    Array arr;
-    skip_ws();
-    if (peek() == ']') {
-      get();
-      return Value(std::move(arr));
-    }
-    while (true) {
-      skip_ws();
-      if (peek() == ']') {  // trailing comma
-        get();
-        return Value(std::move(arr));
-      }
-      arr.push_back(parse_value(depth + 1));
-      skip_ws();
-      char c = get();
-      if (c == ']') return Value(std::move(arr));
-      if (c != ',') {
-        --pos_;
-        fail("expected ',' or ']' in array");
-      }
-    }
-  }
-
-  std::string parse_string() {
-    skip_ws();
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      char c = get();
-      if (c == '"') return out;
-      if (c == '\\') {
-        char esc = get();
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            unsigned code = parse_hex4();
-            // Surrogates are only meaningful as a \uD8xx\uDCxx pair naming an
-            // astral code point; a lone half is not a code point at all, and
-            // encoding it would emit invalid UTF-8 (the original sin this
-            // replaces). Reject unpaired halves with a precise message.
-            if (code >= 0xDC00 && code <= 0xDFFF) {
-              fail("unpaired low surrogate in \\u escape");
-            }
-            if (code >= 0xD800 && code <= 0xDBFF) {
-              if (get() != '\\' || get() != 'u') {
-                fail("high surrogate must be followed by a \\u low surrogate");
-              }
-              const unsigned lo = parse_hex4();
-              if (lo < 0xDC00 || lo > 0xDFFF) {
-                fail("high surrogate must be followed by a low surrogate");
-              }
-              code = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
-            }
-            // Encode the code point as UTF-8 (1-4 bytes).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else if (code < 0x10000) {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xF0 | (code >> 18));
-              out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
+        if (code >= 0xD800 && code <= 0xDBFF) {
+          if (!consume_literal("\\u")) {
+            fail("high surrogate must be followed by a \\u low surrogate");
           }
-          default: fail("bad escape character");
+          const unsigned lo = read_hex4();
+          if (lo < 0xDC00 || lo > 0xDFFF) {
+            fail("high surrogate must be followed by a low surrogate");
+          }
+          code = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
         }
-      } else {
-        out += c;
-      }
-    }
-  }
-
-  unsigned parse_hex4() {
-    unsigned code = 0;
-    for (int i = 0; i < 4; ++i) {
-      char h = get();
-      code <<= 4;
-      if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-      else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-      else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-      else fail("bad \\u escape");
-    }
-    return code;
-  }
-
-  Value parse_number() {
-    skip_ws();
-    size_t start = pos_;
-    if (peek() == '-' || peek() == '+') ++pos_;
-    bool is_double = false;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        if (c == '.' || c == 'e' || c == 'E') is_double = true;
-        ++pos_;
-      } else {
+        // Encode the code point as UTF-8 (1-4 bytes).
+        if (code < 0x80) {
+          out += static_cast<char>(code);
+        } else if (code < 0x800) {
+          out += static_cast<char>(0xC0 | (code >> 6));
+          out += static_cast<char>(0x80 | (code & 0x3F));
+        } else if (code < 0x10000) {
+          out += static_cast<char>(0xE0 | (code >> 12));
+          out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          out += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+          out += static_cast<char>(0xF0 | (code >> 18));
+          out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+          out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          out += static_cast<char>(0x80 | (code & 0x3F));
+        }
         break;
       }
-    }
-    if (pos_ == start) fail("expected a value");
-    std::string token(text_.substr(start, pos_ - start));
-    try {
-      if (!is_double) return Value(static_cast<int64_t>(std::stoll(token)));
-      return Value(std::stod(token));
-    } catch (const std::exception&) {
-      fail("invalid number '" + token + "'");
+      default: fail("bad escape character");
     }
   }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-}  // namespace
-
-Value parse(std::string_view text) { return Parser(text).parse_document(); }
-
-Value parse_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("json: cannot open file '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse(ss.str());
 }
+
+unsigned Reader::read_hex4() {
+  unsigned code = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char h = pos_ < text_.size() ? text_[pos_++] : '\0';
+    code <<= 4;
+    if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+    else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+    else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+    else fail("bad \\u escape");
+  }
+  return code;
+}
+
+Reader::Number Reader::read_number() {
+  skip_ws();
+  // The token runs over every character a number may hold, so "1-2" or
+  // "1.2.3" is one token that must convert as a whole — never a number
+  // followed by silently dropped garbage.
+  const size_t start = pos_;
+  const char* const first = text_.data() + start;
+  const char* const end = text_.data() + text_.size();
+  const char* last = first;
+  Number n;
+  for (; last != end; ++last) {
+    const char c = *last;
+    if (c == '.' || c == 'e' || c == 'E') {
+      n.is_int = false;
+    } else if ((c < '0' || c > '9') && c != '+' && c != '-') {
+      break;
+    }
+  }
+  if (last == first) fail("expected a value");
+  pos_ = static_cast<size_t>(last - text_.data());
+  n.text = std::string_view(first, static_cast<size_t>(last - first));
+  const std::from_chars_result res =
+      n.is_int ? std::from_chars(n.text.data(), last, n.i)
+               : std::from_chars(n.text.data(), last, n.d);
+  if (res.ec != std::errc() || res.ptr != last) {
+    pos_ = start;
+    fail("invalid number '" + std::string(n.text) + "'");
+  }
+  if (n.is_int) n.d = static_cast<double>(n.i);
+  return n;
+}
+
+Value Reader::read_value() {
+  switch (peek()) {
+    case Type::Object: {
+      begin_object();
+      Object obj;
+      std::string key;
+      while (next_key(key)) obj[key] = read_value();
+      return Value(std::move(obj));
+    }
+    case Type::Array: {
+      begin_array();
+      Array arr;
+      while (next_element()) arr.push_back(read_value());
+      return Value(std::move(arr));
+    }
+    case Type::String: return Value(read_string());
+    case Type::Bool:
+      if (consume_literal("true")) return Value(true);
+      if (consume_literal("false")) return Value(false);
+      fail("invalid literal");
+    case Type::Null:
+      if (consume_literal("null")) return Value(nullptr);
+      fail("invalid literal");
+    default: {
+      const Number n = read_number();
+      return n.is_int ? Value(n.i) : Value(n.d);
+    }
+  }
+}
+
+void Reader::finish() {
+  skip_ws();
+  if (pos_ != text_.size()) fail("trailing characters after document");
+}
+
+Value parse(std::string_view text) {
+  Reader r(text);
+  Value v = r.read_value();
+  r.finish();
+  return v;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) throw Error("json: cannot open file '" + path + "'");
+  const std::streamoff size = in.tellg();
+  std::string text;
+  if (size > 0) {
+    text.resize(static_cast<size_t>(size));
+    in.seekg(0);
+    in.read(text.data(), size);
+  }
+  if (size < 0 || !in) throw Error("json: cannot read file '" + path + "'");
+  return text;
+}
+
+Value parse_file(const std::string& path) { return parse(read_file(path)); }
 
 void write_file(const std::string& path, const Value& value, int indent) {
   std::ofstream out(path, std::ios::binary);

@@ -8,11 +8,19 @@
 //
 // Numbers are stored as double plus an exact int64 when representable, so
 // `v.as_int()` round-trips integer configuration values exactly.
+//
+// Two streaming halves sit under the DOM: `Reader` pulls one document token
+// by token (parse() builds a Value on it), and `Writer` emits the exact bytes
+// of Value::dump() (dump() is written with it). Large documents — graph
+// files with millions of weights — go through them without a Value per
+// element.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -101,8 +109,6 @@ class Value {
   bool operator==(const Value& other) const;
 
  private:
-  void dump_impl(std::string& out, int indent, int depth) const;
-
   Type type_ = Type::Null;
   bool bool_ = false;
   int64_t int_ = 0;
@@ -112,8 +118,133 @@ class Value {
   Object object_;
 };
 
+/// Streaming serializer. Emits exactly the bytes Value::dump(indent) gives
+/// for the same document, so a caller can write a large document (or hash
+/// it) without building it first. Keys are written in the order given: to
+/// match a dumped Object, give them in std::map (byte-wise) order.
+class Writer {
+ public:
+  /// Receives the output in order, one contiguous chunk per call.
+  using Sink = std::function<void(std::string_view)>;
+
+  /// Append the output to `out`. indent < 0 -> compact single line.
+  explicit Writer(std::string& out, int indent = -1);
+  /// Buffer the output and hand it to `sink` in chunks of about 64 KiB;
+  /// flush() passes on the rest.
+  explicit Writer(Sink sink, int indent = -1);
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+
+  Writer& begin_object();
+  Writer& end_object();
+  Writer& begin_array();
+  Writer& end_array();
+  /// The key of the next object member; its value follows.
+  Writer& key(std::string_view k);
+
+  Writer& null();
+  Writer& boolean(bool b);
+  Writer& integer(int64_t i);
+  Writer& number(double d);  ///< non-finite values are written as null
+  Writer& string(std::string_view s);
+  Writer& value(const Value& v);  ///< a whole DOM subtree
+  /// An array of integers: the bytes of begin_array(), integer() per
+  /// element and end_array(), formatted in bulk (graph weights).
+  Writer& integers(std::span<const int8_t> values);
+  Writer& integers(std::span<const int32_t> values);
+
+  /// Hand any buffered output to the sink (no-op when writing to a string).
+  void flush();
+
+ private:
+  void before_value();
+  void newline_indent(size_t depth);
+  void wrote();
+  template <typename Int>
+  Writer& integer_array(std::span<const Int> values);
+
+  std::string buffer_;
+  std::string* out_;
+  Sink sink_;
+  int indent_;
+  std::vector<uint8_t> open_;  ///< per open container: 1 once it has a member
+  bool after_key_ = false;
+};
+
+/// Pull reader over one JSON document — the one grammar behind parse():
+/// comments, trailing commas, the nesting cap and line/column errors. Every
+/// read_* consumes one value; containers are walked with begin_*/next_*:
+///
+///   r.begin_object();
+///   while (r.next_key(key)) { ... read exactly one value for `key` ... }
+///
+/// Every failure throws Error naming the line and column.
+class Reader {
+ public:
+  /// Containers may nest at most this deep. DOM building spends one host
+  /// stack frame per level, so an unbounded document (the parser also reads
+  /// socket input — see pim::serve) could overflow the stack; 256 is far
+  /// beyond any real config while keeping worst-case stack use trivial.
+  static constexpr size_t kMaxDepth = 256;
+
+  /// One number token. `text` views the document.
+  struct Number {
+    std::string_view text;
+    bool is_int = true;  ///< written without fraction or exponent
+    int64_t i = 0;       ///< the value when is_int
+    double d = 0.0;      ///< the value (always set)
+  };
+
+  explicit Reader(std::string_view text) : text_(text) {}
+
+  /// Type of the next value, judged by its first character. Type::Int
+  /// stands for a number — or for anything else, which read_number()
+  /// then rejects.
+  Type peek();
+
+  /// Consume '{'. Then next_key() until it returns false.
+  void begin_object();
+  /// Read the next member's key into `key` (and its ':'), or consume the
+  /// closing '}' and return false.
+  bool next_key(std::string& key);
+  /// Consume '['. Then next_element() until it returns false.
+  void begin_array();
+  /// True when another element follows (read it next); false after
+  /// consuming the closing ']'.
+  bool next_element();
+
+  std::string read_string();
+  /// A number token; it must be a number as a whole ("1-2", "+5" and "12e"
+  /// are rejected, not read as a prefix).
+  Number read_number();
+  /// The next value as a DOM.
+  Value read_value();
+  /// Require the end of the document (only whitespace and comments left).
+  void finish();
+
+  /// Throw Error with the current line and column.
+  [[noreturn]] void fail(const std::string& msg) const;
+
+ private:
+  char peek_char();
+  void skip_ws();
+  void expect(char c);
+  bool consume_literal(std::string_view lit);
+  void open(char c);
+  void read_string_into(std::string& out);
+  unsigned read_hex4();
+
+  std::string_view text_;
+  size_t pos_ = 0;
+  std::vector<uint8_t> open_;  ///< per open container: 1 once it has a member
+};
+
 /// Parse a JSON document; throws Error with line/column info on failure.
 Value parse(std::string_view text);
+
+/// The whole file at `path`, read with one sized read; throws Error on I/O
+/// failure.
+std::string read_file(const std::string& path);
 
 /// Parse the file at `path`; throws Error (including on I/O failure).
 Value parse_file(const std::string& path);

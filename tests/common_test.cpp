@@ -61,6 +61,16 @@ TEST(Strings, Strformat) {
 
 // --------------------------------------------------------------- math_util
 
+TEST(Strings, Fnv1a64ContinuesAcrossChunks) {
+  // Published FNV-1a 64 test vectors pin the basis and the prime.
+  EXPECT_EQ(fnv1a64(""), kFnv1a64Basis);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
+  // Seeding with the running hash continues the stream.
+  EXPECT_EQ(fnv1a64("bar", fnv1a64("foo")), fnv1a64("foobar"));
+  EXPECT_EQ(fnv1a64("", fnv1a64("foobar")), fnv1a64("foobar"));
+}
+
 TEST(MathUtil, CeilDiv) {
   EXPECT_EQ(ceil_div(10, 3), 4);
   EXPECT_EQ(ceil_div(9, 3), 3);

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <climits>
 #include <filesystem>
+#include <span>
+#include <vector>
 
 #include "json/json.h"
 
@@ -91,6 +94,140 @@ TEST(JsonParse, RejectsMalformed) {
   EXPECT_THROW(parse("{'single':1}"), Error);
 }
 
+/// The parse error message of `text` ("" when it parses).
+std::string parse_error(std::string_view text) {
+  try {
+    parse(text);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(JsonParse, NumbersMustConvertWhole) {
+  // Each number token must be one number as a whole: these used to read as
+  // a prefix ([1], [1.2], [5], [12]) with the rest silently dropped.
+  for (const char* text : {"[1-2]", "[1.2.3]", "[+5]", "[12e]", "[1e5e5]", "[-]", "[--1]"}) {
+    const std::string err = parse_error(text);
+    EXPECT_NE(err.find("line 1, col 2: invalid number"), std::string::npos) << text << ": " << err;
+  }
+  EXPECT_NE(parse_error("{\n  \"a\": 12e\n}").find("line 2, col 8"), std::string::npos);
+  EXPECT_THROW(parse("99999999999999999999"), Error);  // beyond int64
+  EXPECT_THROW(parse("1e999"), Error);                 // beyond double
+  // Well-formed numbers still read exactly.
+  EXPECT_EQ(parse("-9223372036854775808").as_int(), INT64_MIN);
+  EXPECT_EQ(parse("[1,-2]").at(1).as_int(), -2);
+  EXPECT_DOUBLE_EQ(parse("1.5e+2").as_double(), 150.0);
+  EXPECT_DOUBLE_EQ(parse("-0.25E-1").as_double(), -0.025);
+}
+
+TEST(JsonReader, PullsValuesOneByOne) {
+  Reader r(R"({
+    "ints": [1, -2, 3,],  // trailing comma and a comment
+    "name": "x",
+    "nested": {"d": 2.5},
+  })");
+  r.begin_object();
+  std::string key;
+  ASSERT_TRUE(r.next_key(key));
+  EXPECT_EQ(key, "ints");
+  EXPECT_EQ(r.peek(), Type::Array);
+  r.begin_array();
+  std::vector<int64_t> ints;
+  while (r.next_element()) ints.push_back(r.read_number().i);
+  EXPECT_EQ(ints, (std::vector<int64_t>{1, -2, 3}));
+  ASSERT_TRUE(r.next_key(key));
+  EXPECT_EQ(key, "name");
+  EXPECT_EQ(r.read_string(), "x");
+  ASSERT_TRUE(r.next_key(key));
+  EXPECT_EQ(key, "nested");
+  EXPECT_EQ(r.read_value(), parse(R"({"d": 2.5})"));
+  EXPECT_FALSE(r.next_key(key));
+  r.finish();
+
+  const Reader::Number n = Reader("2.0").read_number();
+  EXPECT_FALSE(n.is_int);
+  EXPECT_EQ(n.text, "2.0");
+  EXPECT_DOUBLE_EQ(n.d, 2.0);
+
+  // Errors carry the position whichever entry point meets them.
+  Reader missing_comma("[1 2]");
+  missing_comma.begin_array();
+  ASSERT_TRUE(missing_comma.next_element());
+  missing_comma.read_number();
+  try {
+    missing_comma.next_element();
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1, col 4"), std::string::npos) << e.what();
+  }
+  Reader deep(std::string(300, '['));
+  EXPECT_THROW(
+      for (size_t i = 0; i <= Reader::kMaxDepth; ++i) deep.begin_array(), Error);
+}
+
+/// `v` written through the streaming Writer's DOM entry point with a sink
+/// that receives `chunks` pieces.
+std::string write_chunked(const Value& v, int indent, size_t* chunks) {
+  std::string out;
+  Writer w([&](std::string_view s) { out += s; ++*chunks; }, indent);
+  w.value(v);
+  w.flush();
+  return out;
+}
+
+TEST(JsonWriter, StreamedEventsMatchDump) {
+  Value v = parse(R"({"a": [1, -2.5, "s\n", true, null, [], {}], "b": {"c": [[]]}, "d": 7})");
+  for (int indent : {-1, 0, 2, 4}) {
+    std::string out;
+    Writer w(out, indent);
+    w.begin_object();
+    w.key("a").begin_array().integer(1).number(-2.5).string("s\n").boolean(true).null();
+    w.begin_array().end_array().begin_object().end_object().end_array();
+    w.key("b").begin_object().key("c").begin_array().begin_array().end_array().end_array();
+    w.end_object();
+    w.key("d").integer(7).end_object();
+    EXPECT_EQ(out, v.dump(indent)) << "indent " << indent;
+  }
+}
+
+TEST(JsonWriter, BulkIntegersMatchOneByOne) {
+  const std::vector<int8_t> bytes = {-128, -1, 0, 9, 10, 99, 100, 127};
+  const std::vector<int32_t> words = {INT32_MIN, -1000, 0, 42, INT32_MAX};
+  for (int indent : {-1, 2}) {
+    std::string bulk, single;
+    Writer b(bulk, indent), s(single, indent);
+    b.begin_object().key("w").integers(bytes).key("b").integers(words);
+    b.key("e").integers(std::span<const int8_t>()).end_object();
+    s.begin_object().key("w").begin_array();
+    for (int8_t x : bytes) s.integer(x);
+    s.end_array().key("b").begin_array();
+    for (int32_t x : words) s.integer(x);
+    s.end_array().key("e").begin_array().end_array().end_object();
+    EXPECT_EQ(bulk, single) << "indent " << indent;
+  }
+}
+
+TEST(JsonWriter, ChunkedSinkSeesTheSameBytes) {
+  // Large enough for many 64 KiB chunks, through both the DOM and the bulk
+  // path.
+  std::vector<int8_t> many(300000);
+  for (size_t i = 0; i < many.size(); ++i) many[i] = static_cast<int8_t>(i * 37);
+  Array arr;
+  for (int8_t x : many) arr.emplace_back(static_cast<int64_t>(x));
+  const Value v(std::move(arr));
+  for (int indent : {-1, 2}) {
+    size_t chunks = 0;
+    EXPECT_EQ(write_chunked(v, indent, &chunks), v.dump(indent));
+    EXPECT_GT(chunks, 5u);
+    std::string streamed;
+    Writer w([&](std::string_view s) { streamed += s; }, indent);
+    w.integers(many);
+    w.flush();
+    EXPECT_EQ(streamed, v.dump(indent));
+  }
+}
+
 TEST(JsonDump, CompactAndPretty) {
   Value v;
   v["b"] = Value(1);
@@ -154,6 +291,7 @@ TEST(JsonFile, WriteAndParseFile) {
   EXPECT_EQ(r, v);
   std::remove(path.c_str());
   EXPECT_THROW(parse_file(path), Error);
+  EXPECT_THROW(read_file(path), Error);
 }
 
 TEST(JsonParse, BigIntegersExact) {
