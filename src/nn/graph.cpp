@@ -53,7 +53,7 @@ int64_t Layer::weight_cols() const {
 
 // ----------------------------------------------------------------- builders
 
-int32_t Graph::push(Layer layer) {
+int32_t Graph::add_layer(Layer layer) {
   layer.id = static_cast<int32_t>(layers_.size());
   if (layer.name.empty()) {
     layer.name = strformat("%s_%d", op_name(layer.type), layer.id);
@@ -74,7 +74,7 @@ int32_t Graph::add_input(Shape shape, const std::string& name) {
   l.name = name;
   l.out_shape = shape;
   l.out_channels = shape.c;
-  return push(std::move(l));
+  return add_layer(std::move(l));
 }
 
 int32_t Graph::add_conv(int32_t input, int32_t out_channels, int32_t kernel, int32_t stride,
@@ -87,7 +87,7 @@ int32_t Graph::add_conv(int32_t input, int32_t out_channels, int32_t kernel, int
   l.kernel_h = l.kernel_w = kernel;
   l.stride_h = l.stride_w = stride;
   l.pad_h = l.pad_w = pad;
-  return push(std::move(l));
+  return add_layer(std::move(l));
 }
 
 int32_t Graph::add_fc(int32_t input, int32_t out_features, const std::string& name) {
@@ -96,7 +96,7 @@ int32_t Graph::add_fc(int32_t input, int32_t out_features, const std::string& na
   l.name = name;
   l.inputs = {input};
   l.out_channels = out_features;
-  return push(std::move(l));
+  return add_layer(std::move(l));
 }
 
 int32_t Graph::add_maxpool(int32_t input, int32_t kernel, int32_t stride, int32_t pad,
@@ -108,7 +108,7 @@ int32_t Graph::add_maxpool(int32_t input, int32_t kernel, int32_t stride, int32_
   l.kernel_h = l.kernel_w = kernel;
   l.stride_h = l.stride_w = stride;
   l.pad_h = l.pad_w = pad;
-  return push(std::move(l));
+  return add_layer(std::move(l));
 }
 
 int32_t Graph::add_avgpool(int32_t input, int32_t kernel, int32_t stride, int32_t pad,
@@ -120,7 +120,7 @@ int32_t Graph::add_avgpool(int32_t input, int32_t kernel, int32_t stride, int32_
   l.kernel_h = l.kernel_w = kernel;
   l.stride_h = l.stride_w = stride;
   l.pad_h = l.pad_w = pad;
-  return push(std::move(l));
+  return add_layer(std::move(l));
 }
 
 int32_t Graph::add_global_avgpool(int32_t input, const std::string& name) {
@@ -128,7 +128,7 @@ int32_t Graph::add_global_avgpool(int32_t input, const std::string& name) {
   l.type = OpType::GlobalAvgPool;
   l.name = name;
   l.inputs = {input};
-  return push(std::move(l));
+  return add_layer(std::move(l));
 }
 
 int32_t Graph::add_relu(int32_t input, const std::string& name) {
@@ -136,7 +136,7 @@ int32_t Graph::add_relu(int32_t input, const std::string& name) {
   l.type = OpType::Relu;
   l.name = name;
   l.inputs = {input};
-  return push(std::move(l));
+  return add_layer(std::move(l));
 }
 
 int32_t Graph::add_add(int32_t a, int32_t b, const std::string& name) {
@@ -144,7 +144,7 @@ int32_t Graph::add_add(int32_t a, int32_t b, const std::string& name) {
   l.type = OpType::Add;
   l.name = name;
   l.inputs = {a, b};
-  return push(std::move(l));
+  return add_layer(std::move(l));
 }
 
 int32_t Graph::add_concat(std::vector<int32_t> inputs, const std::string& name) {
@@ -152,7 +152,7 @@ int32_t Graph::add_concat(std::vector<int32_t> inputs, const std::string& name) 
   l.type = OpType::Concat;
   l.name = name;
   l.inputs = std::move(inputs);
-  return push(std::move(l));
+  return add_layer(std::move(l));
 }
 
 int32_t Graph::add_flatten(int32_t input, const std::string& name) {
@@ -160,7 +160,7 @@ int32_t Graph::add_flatten(int32_t input, const std::string& name) {
   l.type = OpType::Flatten;
   l.name = name;
   l.inputs = {input};
-  return push(std::move(l));
+  return add_layer(std::move(l));
 }
 
 // -------------------------------------------------------------------- graph
@@ -336,86 +336,6 @@ int64_t Graph::total_macs() const {
     }
   }
   return n;
-}
-
-// ------------------------------------------------------------- serialization
-
-json::Value Graph::to_json(bool include_params) const {
-  json::Value v;
-  v["name"] = json::Value(name_);
-  json::Array layers_json;
-  for (const Layer& l : layers_) {
-    json::Value lj;
-    lj["id"] = json::Value(l.id);
-    lj["name"] = json::Value(l.name);
-    lj["type"] = json::Value(op_name(l.type));
-    if (!l.inputs.empty()) {
-      json::Array in;
-      for (int32_t i : l.inputs) in.emplace_back(static_cast<int64_t>(i));
-      lj["inputs"] = json::Value(std::move(in));
-    }
-    if (l.type == OpType::Input) {
-      lj["shape"] = json::Value(json::Array{json::Value(l.out_shape.c), json::Value(l.out_shape.h),
-                                            json::Value(l.out_shape.w)});
-    }
-    if (l.out_channels && l.type != OpType::Input) lj["out_channels"] = json::Value(l.out_channels);
-    if (l.kernel_h) {
-      lj["kernel"] = json::Value(l.kernel_h);
-      lj["stride"] = json::Value(l.stride_h);
-      lj["pad"] = json::Value(l.pad_h);
-    }
-    if (l.out_shift) lj["out_shift"] = json::Value(l.out_shift);
-    if (include_params && !l.weights.empty()) {
-      json::Array w;
-      w.reserve(l.weights.size());
-      for (int8_t x : l.weights) w.emplace_back(static_cast<int64_t>(x));
-      lj["weights"] = json::Value(std::move(w));
-      json::Array b;
-      for (int32_t x : l.bias) b.emplace_back(static_cast<int64_t>(x));
-      lj["bias"] = json::Value(std::move(b));
-    }
-    layers_json.push_back(std::move(lj));
-  }
-  v["layers"] = json::Value(std::move(layers_json));
-  return v;
-}
-
-Graph Graph::from_json(const json::Value& v) {
-  Graph g(v.get_or("name", "net"));
-  for (const json::Value& lj : v.at("layers").as_array()) {
-    Layer l;
-    l.type = op_from_name(lj.at("type").as_string());
-    l.name = lj.get_or("name", "");
-    if (lj.contains("inputs")) {
-      for (const json::Value& i : lj.at("inputs").as_array()) {
-        l.inputs.push_back(static_cast<int32_t>(i.as_int()));
-      }
-    }
-    if (l.type == OpType::Input) {
-      const json::Array& s = lj.at("shape").as_array();
-      l.out_shape = {static_cast<int32_t>(s.at(0).as_int()), static_cast<int32_t>(s.at(1).as_int()),
-                     static_cast<int32_t>(s.at(2).as_int())};
-      l.out_channels = l.out_shape.c;
-    }
-    l.out_channels = static_cast<int32_t>(lj.get_or("out_channels", l.out_channels));
-    if (lj.contains("kernel")) {
-      l.kernel_h = l.kernel_w = static_cast<int32_t>(lj.at("kernel").as_int());
-      l.stride_h = l.stride_w = static_cast<int32_t>(lj.get_or("stride", 1));
-      l.pad_h = l.pad_w = static_cast<int32_t>(lj.get_or("pad", 0));
-    }
-    l.out_shift = static_cast<int32_t>(lj.get_or("out_shift", 0));
-    if (lj.contains("weights")) {
-      for (const json::Value& w : lj.at("weights").as_array()) {
-        l.weights.push_back(static_cast<int8_t>(w.as_int()));
-      }
-      for (const json::Value& b : lj.at("bias").as_array()) {
-        l.bias.push_back(static_cast<int32_t>(b.as_int()));
-      }
-    }
-    g.push(std::move(l));
-  }
-  g.infer_shapes();
-  return g;
 }
 
 }  // namespace pim::nn

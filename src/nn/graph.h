@@ -1,6 +1,6 @@
 // Neural-network graph IR — the typed form of the paper's "network
 // description file" (Fig. 1, ONNX format in the original; a JSON container
-// with identical information here).
+// with identical information here, read and written by pim::workload).
 //
 // The IR is a DAG of layers over quantized int8 tensors in CHW layout.
 // Arithmetic semantics are fixed-point and defined once, shared bit-exactly
@@ -18,8 +18,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "json/json.h"
 
 namespace pim::nn {
 
@@ -100,6 +98,10 @@ class Graph {
   int32_t add_add(int32_t a, int32_t b, const std::string& name = "");
   int32_t add_concat(std::vector<int32_t> inputs, const std::string& name = "");
   int32_t add_flatten(int32_t input, const std::string& name = "");
+  /// Append a fully described layer — the general form of the builders
+  /// above. Assigns its id, names it "<op>_<id>" when unnamed, and throws
+  /// std::invalid_argument when an input is not an earlier layer.
+  int32_t add_layer(Layer layer);
 
   // ---- access --------------------------------------------------------------
   const std::vector<Layer>& layers() const { return layers_; }
@@ -132,11 +134,7 @@ class Graph {
   /// Multiply-accumulate count of one inference.
   int64_t total_macs() const;
 
-  json::Value to_json(bool include_params = false) const;
-  static Graph from_json(const json::Value& v);
-
  private:
-  int32_t push(Layer layer);
   std::string name_;
   std::vector<Layer> layers_;
 };

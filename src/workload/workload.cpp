@@ -1,6 +1,9 @@
 #include "workload/workload.h"
 
 #include <algorithm>
+#include <cmath>
+#include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "common/strings.h"
@@ -338,80 +341,184 @@ FingerprintedWorkload fingerprint_and_build(const WorkloadSpec& spec, bool init_
 
 namespace {
 
-/// Per-layer schema checks that nn::Graph::from_json is lenient about.
-void check_layer_json(const json::Value& lj, size_t index) {
-  const auto where = [&] {
-    const std::string name = lj.is_object() ? lj.get_or("name", std::string()) : std::string();
-    return strformat("layer %zu%s", index,
-                     name.empty() ? "" : (" ('" + name + "')").c_str());
-  };
-  if (!lj.is_object()) fail(where() + ": expected an object");
-  if (!lj.contains("type") || !lj.at("type").is_string()) {
-    fail(where() + ": missing string \"type\"");
-  }
-  const nn::OpType type = nn::op_from_name(lj.at("type").as_string());  // throws when unknown
+constexpr const char* kNotAGraph = "a graph description is an object with a \"layers\" array";
 
-  // Ids are optional documentation; when present they must agree with the
-  // layer's position — from_json assigns ids positionally, so a disagreeing
-  // file would silently rewire the DAG.
-  if (lj.contains("id") && lj.at("id").as_int() != static_cast<int64_t>(index)) {
-    fail(where() + strformat(": \"id\" %lld disagrees with its position %zu",
-                             static_cast<long long>(lj.at("id").as_int()), index));
+/// "layer 3 ('conv1')" — how errors name a layer, from its fields `lj`.
+std::string layer_where(size_t index, const json::Value& lj) {
+  std::string where = strformat("layer %zu", index);
+  if (lj.contains("name") && lj.at("name").is_string()) {
+    where += " ('" + lj.at("name").as_string() + "')";
   }
+  return where;
+}
 
-  const size_t arity = lj.contains("inputs") ? lj.at("inputs").as_array().size() : 0;
-  if (type == nn::OpType::Input) {
-    if (arity != 0) fail(where() + ": input layers take no \"inputs\"");
-    if (!lj.contains("shape") || !lj.at("shape").is_array() || lj.at("shape").size() != 3) {
-      fail(where() + ": input layers need \"shape\": [channels, height, width]");
+/// Validate one layer's fields and turn them into a Layer. `lj` holds every
+/// field but "weights"/"bias", whose presence the flags report.
+nn::Layer layer_from_json(const json::Value& lj, size_t index, bool has_weights,
+                          bool has_bias) {
+  const auto where = [&] { return layer_where(index, lj); };
+  try {
+    if (!lj.contains("type") || !lj.at("type").is_string()) {
+      fail(where() + ": missing string \"type\"");
     }
-    for (const json::Value& d : lj.at("shape").as_array()) {
-      if (!d.is_int() || d.as_int() < 1) {
-        fail(where() + ": \"shape\" dimensions must be positive integers");
+    nn::Layer l;
+    l.type = nn::op_from_name(lj.at("type").as_string());  // throws when unknown
+    l.name = lj.get_or("name", "");
+
+    // Ids are optional documentation; when present they must agree with the
+    // layer's position — ids are assigned positionally, so a disagreeing
+    // file would silently rewire the DAG.
+    if (lj.contains("id") && lj.at("id").as_int() != static_cast<int64_t>(index)) {
+      fail(where() + strformat(": \"id\" %lld disagrees with its position %zu",
+                               static_cast<long long>(lj.at("id").as_int()), index));
+    }
+
+    if (lj.contains("inputs")) {
+      for (const json::Value& i : lj.at("inputs").as_array()) {
+        l.inputs.push_back(static_cast<int32_t>(i.as_int()));
       }
     }
-  } else {
-    if (arity == 0) fail(where() + ": non-input layers need \"inputs\"");
-    if (type == nn::OpType::Add && arity != 2) {
-      fail(where() + strformat(": add takes exactly 2 inputs, got %zu", arity));
+    const size_t arity = l.inputs.size();
+    if (l.type == nn::OpType::Input) {
+      if (arity != 0) fail(where() + ": input layers take no \"inputs\"");
+      if (!lj.contains("shape") || !lj.at("shape").is_array() || lj.at("shape").size() != 3) {
+        fail(where() + ": input layers need \"shape\": [channels, height, width]");
+      }
+      for (const json::Value& d : lj.at("shape").as_array()) {
+        if (!d.is_int() || d.as_int() < 1) {
+          fail(where() + ": \"shape\" dimensions must be positive integers");
+        }
+      }
+      const json::Value& shape = lj.at("shape");
+      l.out_shape = {static_cast<int32_t>(shape.at(0).as_int()),
+                     static_cast<int32_t>(shape.at(1).as_int()),
+                     static_cast<int32_t>(shape.at(2).as_int())};
+      l.out_channels = l.out_shape.c;
+    } else {
+      if (arity == 0) fail(where() + ": non-input layers need \"inputs\"");
+      if (l.type == nn::OpType::Add && arity != 2) {
+        fail(where() + strformat(": add takes exactly 2 inputs, got %zu", arity));
+      }
+      const bool single_input = l.type != nn::OpType::Add && l.type != nn::OpType::Concat;
+      if (single_input && arity != 1) {
+        fail(where() + strformat(": %s takes exactly 1 input, got %zu",
+                                 nn::op_name(l.type), arity));
+      }
     }
-    const bool single_input = type != nn::OpType::Add && type != nn::OpType::Concat;
-    if (single_input && arity != 1) {
-      fail(where() + strformat(": %s takes exactly 1 input, got %zu",
-                               nn::op_name(type), arity));
+    const bool matrix = l.type == nn::OpType::Conv || l.type == nn::OpType::FullyConnected;
+    const bool pool = l.type == nn::OpType::MaxPool || l.type == nn::OpType::AvgPool;
+    if (matrix) {
+      if (lj.get_or("out_channels", int64_t{0}) < 1) {
+        fail(where() + ": conv/fc layers need a positive \"out_channels\"");
+      }
+      if (l.type == nn::OpType::Conv && lj.get_or("kernel", int64_t{0}) < 1) {
+        fail(where() + ": conv layers need a positive \"kernel\"");
+      }
     }
-  }
-  if (type == nn::OpType::Conv || type == nn::OpType::FullyConnected) {
-    if (lj.get_or("out_channels", int64_t{0}) < 1) {
-      fail(where() + ": conv/fc layers need a positive \"out_channels\"");
+    if (pool && lj.get_or("kernel", int64_t{0}) < 1) {
+      fail(where() + ": pooling layers need a positive \"kernel\"");
     }
-    if (type == nn::OpType::Conv && lj.get_or("kernel", int64_t{0}) < 1) {
-      fail(where() + ": conv layers need a positive \"kernel\"");
+    if (l.type == nn::OpType::Conv || pool) {
+      // stride = 0 would divide by zero inside shape inference (SIGFPE, not a
+      // clean error); negative pads make no geometric sense.
+      if (lj.get_or("stride", int64_t{1}) < 1) {
+        fail(where() + ": \"stride\" must be >= 1");
+      }
+      if (lj.get_or("pad", int64_t{0}) < 0) {
+        fail(where() + ": \"pad\" must be >= 0");
+      }
     }
-  }
-  if ((type == nn::OpType::MaxPool || type == nn::OpType::AvgPool) &&
-      lj.get_or("kernel", int64_t{0}) < 1) {
-    fail(where() + ": pooling layers need a positive \"kernel\"");
-  }
-  if (type == nn::OpType::Conv || type == nn::OpType::MaxPool || type == nn::OpType::AvgPool) {
-    // stride = 0 would divide by zero inside shape inference (SIGFPE, not a
-    // clean error); negative pads make no geometric sense.
-    if (lj.get_or("stride", int64_t{1}) < 1) {
-      fail(where() + ": \"stride\" must be >= 1");
+    if (has_weights != has_bias) {
+      fail(where() + ": \"weights\" and \"bias\" must be given together");
     }
-    if (lj.get_or("pad", int64_t{0}) < 0) {
-      fail(where() + ": \"pad\" must be >= 0");
+
+    l.out_channels = static_cast<int32_t>(lj.get_or("out_channels", l.out_channels));
+    if (lj.contains("kernel")) {
+      l.kernel_h = l.kernel_w = static_cast<int32_t>(lj.at("kernel").as_int());
+      l.stride_h = l.stride_w = static_cast<int32_t>(lj.get_or("stride", 1));
+      l.pad_h = l.pad_w = static_cast<int32_t>(lj.get_or("pad", 0));
     }
-  }
-  if (lj.contains("weights") != lj.contains("bias")) {
-    fail(where() + ": \"weights\" and \"bias\" must be given together");
+    l.out_shift = static_cast<int32_t>(lj.get_or("out_shift", 0));
+    return l;
+  } catch (const json::Error& e) {  // a field of the wrong JSON type
+    fail(where() + ": " + e.what());
   }
 }
 
-/// Post-parse parameter consistency: sizes must match the inferred geometry,
-/// and parameters are all-or-none across the matrix layers (a half-
-/// parameterized graph cannot run functionally and cannot be re-seeded
-/// without clobbering the provided half).
+/// `n` as a T when it is an integer T can hold. An integral double counts,
+/// as it does for json::Value::as_int.
+template <typename T>
+bool param_value(const json::Reader::Number& n, T* out) {
+  constexpr T lo = std::numeric_limits<T>::min();
+  constexpr T hi = std::numeric_limits<T>::max();
+  if (n.is_int) {
+    if (n.i < lo || n.i > hi) return false;
+  } else if (!(n.d >= lo && n.d <= hi) || std::nearbyint(n.d) != n.d) {
+    return false;
+  }
+  *out = static_cast<T>(n.d);
+  return true;
+}
+
+/// Read a "weights"/"bias" array straight into `out`. The first element
+/// that is not an integer T holds is described in `problem` (the layer's
+/// name may come later in the object, so the caller reports it); the rest
+/// of the array is still read, so the document stays in step.
+template <typename T>
+void read_params(json::Reader& r, const char* field, std::vector<T>& out, std::string& problem) {
+  const auto note = [&](const std::string& what) {
+    if (problem.empty()) problem = strformat("\"%s\" %s", field, what.c_str());
+  };
+  out.clear();
+  if (r.peek() != json::Type::Array) {
+    note("must be an array of integers, got " + r.read_value().dump());
+    return;
+  }
+  r.begin_array();
+  while (r.next_element()) {
+    if (r.peek() != json::Type::Int) {
+      note("value " + r.read_value().dump() + " is not an integer");
+      continue;
+    }
+    const json::Reader::Number n = r.read_number();
+    T x;
+    if (param_value(n, &x)) {
+      out.push_back(x);
+    } else {
+      note(strformat("value %s is not an integer in [%lld, %lld]", std::string(n.text).c_str(),
+                     static_cast<long long>(std::numeric_limits<T>::min()),
+                     static_cast<long long>(std::numeric_limits<T>::max())));
+    }
+  }
+}
+
+/// One element of "layers".
+nn::Layer read_layer(json::Reader& r, size_t index) {
+  if (r.peek() != json::Type::Object) fail(strformat("layer %zu: expected an object", index));
+  json::Value fields = json::Object();
+  std::vector<int8_t> weights;
+  std::vector<int32_t> bias;
+  bool has_weights = false, has_bias = false;
+  std::string problem, key;
+  r.begin_object();
+  while (r.next_key(key)) {
+    if (key == "weights") {
+      read_params(r, "weights", weights, problem);
+      has_weights = true;
+    } else if (key == "bias") {
+      read_params(r, "bias", bias, problem);
+      has_bias = true;
+    } else {
+      fields[key] = r.read_value();
+    }
+  }
+  nn::Layer l = layer_from_json(fields, index, has_weights, has_bias);
+  if (!problem.empty()) fail(layer_where(index, fields) + ": " + problem);
+  l.weights = std::move(weights);
+  l.bias = std::move(bias);
+  return l;
+}
+
 /// nn::Graph::infer_shapes truncates toward zero, so a window larger than
 /// the padded input computes a bogus 1x1 output instead of failing — reject
 /// it here with the layer named.
@@ -426,6 +533,10 @@ void check_windows(const nn::Graph& g) {
   }
 }
 
+/// Post-parse parameter consistency: sizes must match the inferred geometry,
+/// and parameters are all-or-none across the matrix layers (a half-
+/// parameterized graph cannot run functionally and cannot be re-seeded
+/// without clobbering the provided half).
 void check_params(const nn::Graph& g) {
   size_t with = 0, without = 0;
   for (const nn::Layer& l : g.layers()) {
@@ -450,35 +561,94 @@ void check_params(const nn::Graph& g) {
 
 }  // namespace
 
-nn::Graph graph_from_json(const json::Value& v) {
-  if (!v.is_object() || !v.contains("layers") || !v.at("layers").is_array()) {
-    fail("a graph description is an object with a \"layers\" array");
+nn::Graph graph_from_json(std::string_view text) {
+  try {
+    json::Reader r(text);
+    if (r.peek() != json::Type::Object) fail(kNotAGraph);
+    nn::Graph g;
+    std::string name = "net", key;
+    bool have_layers = false;
+    r.begin_object();
+    while (r.next_key(key)) {
+      if (key == "layers") {
+        if (r.peek() != json::Type::Array) fail(kNotAGraph);
+        g = nn::Graph();
+        r.begin_array();
+        while (r.next_element()) g.add_layer(read_layer(r, g.size()));
+        have_layers = true;
+      } else if (key == "name") {
+        name = r.read_value().as_string();
+      } else {
+        r.read_value();  // other members carry nothing the graph needs
+      }
+    }
+    r.finish();
+    if (!have_layers) fail(kNotAGraph);
+    if (g.size() == 0) fail("\"layers\" must not be empty");
+    g.set_name(std::move(name));
+    g.infer_shapes();
+    if (g.inputs().empty()) fail("graph has no input layer");
+    check_windows(g);
+    check_params(g);
+    return g;
+  } catch (const json::Error& e) {
+    fail(e.what());
   }
-  const json::Array& layers = v.at("layers").as_array();
-  if (layers.empty()) fail("\"layers\" must not be empty");
-  for (size_t i = 0; i < layers.size(); ++i) check_layer_json(layers[i], i);
-
-  nn::Graph g = nn::Graph::from_json(v);  // resolves inputs, infers shapes
-  if (g.inputs().empty()) fail("graph has no input layer");
-  check_windows(g);
-  check_params(g);
-  return g;
 }
 
 nn::Graph load_graph(const std::string& path) {
   try {
-    return graph_from_json(json::parse_file(path));
+    return graph_from_json(json::read_file(path));
   } catch (const std::exception& e) {
     fail(path + ": " + e.what());
   }
 }
 
+void write_graph(json::Writer& out, const nn::Graph& g, bool include_params) {
+  // Keys in byte-wise order, as std::map (json::Object) sorts them.
+  out.begin_object().key("layers").begin_array();
+  for (const nn::Layer& l : g.layers()) {
+    const bool params = include_params && !l.weights.empty();
+    const bool input = l.type == nn::OpType::Input;
+    out.begin_object();
+    if (params) out.key("bias").integers(l.bias);
+    out.key("id").integer(l.id);
+    if (!l.inputs.empty()) out.key("inputs").integers(l.inputs);
+    if (l.kernel_h) out.key("kernel").integer(l.kernel_h);
+    out.key("name").string(l.name);
+    if (l.out_channels && !input) out.key("out_channels").integer(l.out_channels);
+    if (l.out_shift) out.key("out_shift").integer(l.out_shift);
+    if (l.kernel_h) out.key("pad").integer(l.pad_h);
+    if (input) {
+      out.key("shape").begin_array();
+      out.integer(l.out_shape.c).integer(l.out_shape.h).integer(l.out_shape.w).end_array();
+    }
+    if (l.kernel_h) out.key("stride").integer(l.stride_h);
+    out.key("type").string(nn::op_name(l.type));
+    if (params) out.key("weights").integers(l.weights);
+    out.end_object();
+  }
+  out.end_array().key("name").string(g.name()).end_object();
+}
+
 void export_graph(const nn::Graph& g, const std::string& path, bool include_params) {
-  json::write_file(path, g.to_json(include_params));
+  std::ofstream file(path, std::ios::binary);
+  if (!file) fail("cannot write graph file '" + path + "'");
+  json::Writer out(
+      [&file](std::string_view chunk) { file.write(chunk.data(), static_cast<std::streamsize>(chunk.size())); },
+      /*indent=*/2);
+  write_graph(out, g, include_params);
+  out.flush();
+  file << '\n';
+  if (!file) fail("cannot write graph file '" + path + "'");
 }
 
 uint64_t graph_fingerprint(const nn::Graph& g) {
-  return fnv1a64(g.to_json(/*include_params=*/true).dump());
+  uint64_t h = kFnv1a64Basis;
+  json::Writer out([&h](std::string_view chunk) { h = fnv1a64(chunk, h); });
+  write_graph(out, g, /*include_params=*/true);
+  out.flush();
+  return h;
 }
 
 }  // namespace pim::workload

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "json/json.h"
@@ -171,30 +172,46 @@ class Registry {
 std::vector<std::string> builtin_names();
 
 // ---- graph-file I/O --------------------------------------------------------
+//
+// A graph description is one JSON object: {"layers": [...], "name": "..."},
+// each layer an object with "id", "name", "type", "inputs", "shape" (input
+// layers), "out_channels", "kernel"/"stride"/"pad", "out_shift" and, when
+// parameters ship, "weights" (int8, [out][in] row-major) and "bias" (int32).
+// This section is the one place that schema lives: write_graph produces it,
+// graph_from_json reads it. Neither builds a json::Value per weight.
 
-/// Strictly validate + parse one graph description. On top of
-/// nn::Graph::from_json this rejects: missing/empty "layers", non-object
-/// layers, "id" fields disagreeing with the layer's position, input layers
-/// without a positive [c,h,w] "shape" (or with "inputs"), non-input layers
-/// without "inputs", arity violations (add needs 2 operands), conv/fc
-/// without positive "out_channels" (conv also "kernel"), and parameter
-/// arrays whose sizes disagree with the layer geometry. Shape inference runs
-/// before returning, so geometry errors also surface here. Throws
-/// std::invalid_argument with the offending layer named.
-nn::Graph graph_from_json(const json::Value& v);
+/// Strictly validate + parse one graph description. Streams the text:
+/// "weights"/"bias" go straight into the layer's typed vectors, every other
+/// layer field into a small per-layer json::Value for the schema checks.
+/// Rejects: JSON syntax errors, missing/empty "layers", non-object layers,
+/// "id" fields disagreeing with the layer's position, input layers without
+/// a positive [c,h,w] "shape" (or with "inputs"), non-input layers without
+/// "inputs", arity violations (add needs 2 operands), conv/fc without
+/// positive "out_channels" (conv also "kernel"), stride < 1 or pad < 0,
+/// parameter values that are not integers in int8 (weights) / int32 (bias)
+/// range, and parameter arrays whose sizes disagree with the layer
+/// geometry. Shape inference runs before returning, so geometry errors also
+/// surface here. Throws std::invalid_argument with the offending layer
+/// named.
+nn::Graph graph_from_json(std::string_view text);
 
 /// graph_from_json over a file, with the path prefixed to any error.
 nn::Graph load_graph(const std::string& path);
 
-/// Serialize `g` to `path` (canonical nn::Graph JSON). With
+/// Write `g` as a graph description: members in std::map key order, so the
+/// bytes equal a json::Value::dump of the same document. With
+/// `include_params`, weights/bias of every parameterized layer are written.
+void write_graph(json::Writer& out, const nn::Graph& g, bool include_params);
+
+/// Serialize `g` to `path` (write_graph, pretty-printed). With
 /// `include_params`, weights/bias ship in the file and a reload is
 /// bit-identical to `g`; without, the file is a pure topology description
 /// and parameters are re-derived from WorkloadSpec::weight_seed at build
 /// time.
 void export_graph(const nn::Graph& g, const std::string& path, bool include_params = true);
 
-/// Content hash of a graph: FNV-1a over the canonical JSON dump including
-/// parameters. Equal fingerprints mean bit-identical graphs, hence
+/// Content hash of a graph: FNV-1a over the compact write_graph stream
+/// including parameters. Equal fingerprints mean bit-identical graphs, hence
 /// bit-identical simulations on equal configurations.
 uint64_t graph_fingerprint(const nn::Graph& g);
 

@@ -4,6 +4,7 @@
 #include "nn/executor.h"
 #include "nn/graph.h"
 #include "nn/models.h"
+#include "workload/workload.h"
 
 namespace pim::nn {
 namespace {
@@ -100,7 +101,10 @@ TEST(Graph, JsonRoundTrip) {
   ModelOptions mopt;
   mopt.input_hw = 8;
   Graph g = build_tiny_cnn(mopt);
-  Graph back = Graph::from_json(g.to_json(/*include_params=*/true));
+  std::string text;
+  json::Writer out(text);
+  workload::write_graph(out, g, /*include_params=*/true);
+  Graph back = workload::graph_from_json(text);
   ASSERT_EQ(back.size(), g.size());
   for (size_t i = 0; i < g.size(); ++i) {
     const Layer& a = g.layers()[i];

@@ -32,6 +32,14 @@ void write_text_file(const std::string& path, const std::string& text) {
   ASSERT_TRUE(f.good()) << path;
 }
 
+/// The compact graph description of `g`, parameters included.
+std::string graph_text(const nn::Graph& g) {
+  std::string text;
+  json::Writer out(text);
+  write_graph(out, g, /*include_params=*/true);
+  return text;
+}
+
 // ----------------------------------------------------------------- parsing
 
 TEST(WorkloadSpecTest, TokenParsing) {
@@ -144,7 +152,7 @@ TEST(RoundTripTest, EveryZooModelTopologySurvivesExportReload) {
     export_graph(g, path, /*include_params=*/false);
     const nn::Graph back = load_graph(path);
     EXPECT_EQ(graph_fingerprint(back), graph_fingerprint(g)) << name;
-    EXPECT_EQ(back.to_json(true).dump(), g.to_json(true).dump()) << name;
+    EXPECT_EQ(graph_text(back), graph_text(g)) << name;
   }
 }
 
@@ -250,7 +258,7 @@ TEST(RoundTripTest, GraphFileOnlyNetworkRunsEndToEnd) {
 // ------------------------------------------------------ malformed rejection
 
 TEST(LoaderTest, RejectsMalformedGraphs) {
-  const auto parse = [](const char* text) { return graph_from_json(json::parse(text)); };
+  const auto parse = [](const char* text) { return graph_from_json(text); };
   // Structurally not a graph.
   EXPECT_THROW(parse(R"({"name": "x"})"), std::invalid_argument);
   EXPECT_THROW(parse(R"({"layers": []})"), std::invalid_argument);
@@ -318,6 +326,47 @@ TEST(LoaderTest, RejectsMalformedGraphs) {
                                     {"type": "fc", "inputs": [1], "out_channels": 2}]})"),
                std::invalid_argument);
 
+  // Parameter values must be integers the layer's storage holds: int8
+  // weights, int32 bias. 300 used to load as 44 and 5000000000 as 705032704.
+  const auto error_of = [&](const char* text) {
+    try {
+      parse(text);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("(parsed)");
+  };
+  const std::string too_big_weight = error_of(R"({"layers": [{"type": "input", "shape": [2, 1, 1]},
+      {"type": "fc", "name": "head", "inputs": [0], "out_channels": 2,
+       "weights": [1, 300, 3, 4], "bias": [0, 0]}]})");
+  EXPECT_NE(too_big_weight.find("layer 1 ('head')"), std::string::npos) << too_big_weight;
+  EXPECT_NE(too_big_weight.find("\"weights\" value 300"), std::string::npos) << too_big_weight;
+  // The name comes after "bias" here, as in every exported file.
+  const std::string too_big_bias = error_of(R"({"layers": [{"type": "input", "shape": [2, 1, 1]},
+      {"bias": [5000000000, 0], "inputs": [0], "name": "head", "out_channels": 2,
+       "type": "fc", "weights": [1, 2, 3, 4]}]})");
+  EXPECT_NE(too_big_bias.find("layer 1 ('head')"), std::string::npos) << too_big_bias;
+  EXPECT_NE(too_big_bias.find("\"bias\" value 5000000000"), std::string::npos) << too_big_bias;
+  for (const char* weights : {"[1, -129, 3, 4]", "[1, 2.5, 3, 4]", "[1, \"2\", 3, 4]",
+                              "[1, null, 3, 4]", "[1, 1e300, 3, 4]", "7"}) {
+    const std::string text = std::string(R"({"layers": [{"type": "input", "shape": [2, 1, 1]},
+        {"type": "fc", "inputs": [0], "out_channels": 2, "bias": [0, 0], "weights": )") +
+                             weights + "}]}";
+    EXPECT_THROW(parse(text.c_str()), std::invalid_argument) << weights;
+  }
+  // Integral values written as doubles still count, as for json::Value::as_int.
+  EXPECT_EQ(parse(R"({"layers": [{"type": "input", "shape": [2, 1, 1]},
+      {"type": "fc", "inputs": [0], "out_channels": 2, "bias": [-2147483648, 2147483647],
+       "weights": [1.0, -128, 127, 4e0]}]})").layer(1).weights,
+            (std::vector<int8_t>{1, -128, 127, 4}));
+  // A field of the wrong JSON type names its layer; syntax errors are
+  // invalid_argument too, with the position.
+  const std::string bad_kernel = error_of(R"({"layers": [{"type": "input", "shape": [3, 8, 8]},
+      {"type": "conv", "name": "c1", "inputs": [0], "out_channels": 4, "kernel": "3"}]})");
+  EXPECT_NE(bad_kernel.find("layer 1 ('c1')"), std::string::npos) << bad_kernel;
+  const std::string syntax = error_of(R"({"layers": [{"type": "input", "shape": [3, 8, 8]} {}]})");
+  EXPECT_NE(syntax.find("line 1"), std::string::npos) << syntax;
+
   // A good description still parses (sanity check on the battery above).
   const nn::Graph ok = parse(R"({"layers": [
     {"type": "input", "shape": [2, 1, 1]},
@@ -328,6 +377,22 @@ TEST(LoaderTest, RejectsMalformedGraphs) {
 
   // load_graph prefixes the path on file-level failures.
   EXPECT_THROW(load_graph("/nonexistent/net.json"), std::invalid_argument);
+}
+
+TEST(LoaderTest, ShippedParametersSurviveTheBuild) {
+  // input -> relu -> fc: the layer after the input carries no parameters,
+  // which pimc's old "layers()[1] has no weights" test took for a
+  // parameter-free file, re-seeding over the shipped bias 7.
+  const std::string path = temp_path("relu_fc.json");
+  write_text_file(path, R"({"layers": [
+    {"type": "input", "shape": [4, 1, 1]},
+    {"type": "relu", "inputs": [0]},
+    {"type": "fc", "inputs": [1], "out_channels": 2, "out_shift": 1,
+     "weights": [1, 2, 3, 4, -1, -2, -3, -4], "bias": [7, -3]}
+  ]})");
+  const BuiltWorkload wl = build(WorkloadSpec::graph_file(path), /*init_params=*/true);
+  EXPECT_EQ(wl.graph.layer(2).bias, (std::vector<int32_t>{7, -3}));
+  EXPECT_EQ(wl.graph.layer(2).weights, (std::vector<int8_t>{1, 2, 3, 4, -1, -2, -3, -4}));
 }
 
 // ------------------------------------------------------- fingerprint / cache
