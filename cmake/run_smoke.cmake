@@ -4,6 +4,9 @@
 # script checks both.
 #
 #   cmake -DCMD=<binary> [-DARGS=a;b;c] -DEXPECT=<substring> -P run_smoke.cmake
+#
+# Optionally pass -DFILE=<path> -DFILE_EXPECT=<substring> to also require a
+# file the command wrote to contain FILE_EXPECT verbatim.
 if(NOT DEFINED CMD OR NOT DEFINED EXPECT)
   message(FATAL_ERROR "run_smoke.cmake needs -DCMD=... and -DEXPECT=...")
 endif()
@@ -20,4 +23,11 @@ endif()
 string(FIND "${_out}\n${_err}" "${EXPECT}" _pos)
 if(_pos EQUAL -1)
   message(FATAL_ERROR "${CMD}: output does not contain \"${EXPECT}\"")
+endif()
+if(DEFINED FILE)
+  file(READ "${FILE}" _file)
+  string(FIND "${_file}" "${FILE_EXPECT}" _pos)
+  if(_pos EQUAL -1)
+    message(FATAL_ERROR "${FILE} does not contain \"${FILE_EXPECT}\"")
+  endif()
 endif()

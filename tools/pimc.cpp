@@ -13,8 +13,7 @@
 #include "compiler/compiler.h"
 #include "config/arch_config.h"
 #include "isa/assembler.h"
-#include "json/json.h"
-#include "nn/graph.h"
+#include "workload/workload.h"
 #include "cli.h"
 
 namespace {
@@ -61,7 +60,11 @@ int main(int argc, char** argv) {
   const std::string out_path = args.get("--out");
 
   try {
-    nn::Graph net = nn::Graph::from_json(json::parse_file(args.get("--network")));
+    const bool weights = args.has("--weights");
+    // The strict graph-file loader: a description that ships no parameters
+    // gets seeded ones when the program embeds weights; shipped ones stay.
+    nn::Graph net =
+        workload::build(workload::WorkloadSpec::graph_file(args.get("--network")), weights).graph;
     config::ArchConfig cfg = arch_by_name_or_file(args.get("--arch"));
 
     compiler::CompileOptions copts;
@@ -74,11 +77,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     copts.replication = repl;
-    copts.include_weights = args.has("--weights");
-    if (copts.include_weights && net.total_weight_elems() > 0 &&
-        net.layers()[1].weights.empty()) {
-      net.init_parameters();  // description carried no weights; synthesize
-    }
+    copts.include_weights = weights;
 
     compiler::CompileReport report;
     isa::Program program;
