@@ -195,6 +195,7 @@ class Reader {
     double d = 0.0;      ///< the value (always set)
   };
 
+  /// Reads `text` in place: it must outlive the reader.
   explicit Reader(std::string_view text) : text_(text) {}
 
   /// Type of the next value, judged by its first character. Type::Int

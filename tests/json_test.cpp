@@ -161,7 +161,8 @@ TEST(JsonReader, PullsValuesOneByOne) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("line 1, col 4"), std::string::npos) << e.what();
   }
-  Reader deep(std::string(300, '['));
+  const std::string brackets(300, '[');
+  Reader deep(brackets);
   EXPECT_THROW(
       for (size_t i = 0; i <= Reader::kMaxDepth; ++i) deep.begin_array(), Error);
 }
