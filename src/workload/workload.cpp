@@ -352,97 +352,96 @@ std::string layer_where(size_t index, const json::Value& lj) {
   return where;
 }
 
-/// Validate one layer's fields and turn them into a Layer. `lj` holds every
-/// field but "weights"/"bias", whose presence the flags report.
-nn::Layer layer_from_json(const json::Value& lj, size_t index, bool has_weights,
-                          bool has_bias) {
+/// Per-layer schema checks. `lj` holds every field but "weights"/"bias",
+/// whose presence the flags report.
+void check_layer_json(const json::Value& lj, size_t index, bool has_weights, bool has_bias) {
   const auto where = [&] { return layer_where(index, lj); };
-  try {
-    if (!lj.contains("type") || !lj.at("type").is_string()) {
-      fail(where() + ": missing string \"type\"");
-    }
-    nn::Layer l;
-    l.type = nn::op_from_name(lj.at("type").as_string());  // throws when unknown
-    l.name = lj.get_or("name", "");
-
-    // Ids are optional documentation; when present they must agree with the
-    // layer's position — ids are assigned positionally, so a disagreeing
-    // file would silently rewire the DAG.
-    if (lj.contains("id") && lj.at("id").as_int() != static_cast<int64_t>(index)) {
-      fail(where() + strformat(": \"id\" %lld disagrees with its position %zu",
-                               static_cast<long long>(lj.at("id").as_int()), index));
-    }
-
-    if (lj.contains("inputs")) {
-      for (const json::Value& i : lj.at("inputs").as_array()) {
-        l.inputs.push_back(static_cast<int32_t>(i.as_int()));
-      }
-    }
-    const size_t arity = l.inputs.size();
-    if (l.type == nn::OpType::Input) {
-      if (arity != 0) fail(where() + ": input layers take no \"inputs\"");
-      if (!lj.contains("shape") || !lj.at("shape").is_array() || lj.at("shape").size() != 3) {
-        fail(where() + ": input layers need \"shape\": [channels, height, width]");
-      }
-      for (const json::Value& d : lj.at("shape").as_array()) {
-        if (!d.is_int() || d.as_int() < 1) {
-          fail(where() + ": \"shape\" dimensions must be positive integers");
-        }
-      }
-      const json::Value& shape = lj.at("shape");
-      l.out_shape = {static_cast<int32_t>(shape.at(0).as_int()),
-                     static_cast<int32_t>(shape.at(1).as_int()),
-                     static_cast<int32_t>(shape.at(2).as_int())};
-      l.out_channels = l.out_shape.c;
-    } else {
-      if (arity == 0) fail(where() + ": non-input layers need \"inputs\"");
-      if (l.type == nn::OpType::Add && arity != 2) {
-        fail(where() + strformat(": add takes exactly 2 inputs, got %zu", arity));
-      }
-      const bool single_input = l.type != nn::OpType::Add && l.type != nn::OpType::Concat;
-      if (single_input && arity != 1) {
-        fail(where() + strformat(": %s takes exactly 1 input, got %zu",
-                                 nn::op_name(l.type), arity));
-      }
-    }
-    const bool matrix = l.type == nn::OpType::Conv || l.type == nn::OpType::FullyConnected;
-    const bool pool = l.type == nn::OpType::MaxPool || l.type == nn::OpType::AvgPool;
-    if (matrix) {
-      if (lj.get_or("out_channels", int64_t{0}) < 1) {
-        fail(where() + ": conv/fc layers need a positive \"out_channels\"");
-      }
-      if (l.type == nn::OpType::Conv && lj.get_or("kernel", int64_t{0}) < 1) {
-        fail(where() + ": conv layers need a positive \"kernel\"");
-      }
-    }
-    if (pool && lj.get_or("kernel", int64_t{0}) < 1) {
-      fail(where() + ": pooling layers need a positive \"kernel\"");
-    }
-    if (l.type == nn::OpType::Conv || pool) {
-      // stride = 0 would divide by zero inside shape inference (SIGFPE, not a
-      // clean error); negative pads make no geometric sense.
-      if (lj.get_or("stride", int64_t{1}) < 1) {
-        fail(where() + ": \"stride\" must be >= 1");
-      }
-      if (lj.get_or("pad", int64_t{0}) < 0) {
-        fail(where() + ": \"pad\" must be >= 0");
-      }
-    }
-    if (has_weights != has_bias) {
-      fail(where() + ": \"weights\" and \"bias\" must be given together");
-    }
-
-    l.out_channels = static_cast<int32_t>(lj.get_or("out_channels", l.out_channels));
-    if (lj.contains("kernel")) {
-      l.kernel_h = l.kernel_w = static_cast<int32_t>(lj.at("kernel").as_int());
-      l.stride_h = l.stride_w = static_cast<int32_t>(lj.get_or("stride", 1));
-      l.pad_h = l.pad_w = static_cast<int32_t>(lj.get_or("pad", 0));
-    }
-    l.out_shift = static_cast<int32_t>(lj.get_or("out_shift", 0));
-    return l;
-  } catch (const json::Error& e) {  // a field of the wrong JSON type
-    fail(where() + ": " + e.what());
+  if (!lj.contains("type") || !lj.at("type").is_string()) {
+    fail(where() + ": missing string \"type\"");
   }
+  const nn::OpType type = nn::op_from_name(lj.at("type").as_string());  // throws when unknown
+
+  // Ids are optional documentation; when present they must agree with the
+  // layer's position — ids are assigned positionally, so a disagreeing file
+  // would silently rewire the DAG.
+  if (lj.contains("id") && lj.at("id").as_int() != static_cast<int64_t>(index)) {
+    fail(where() + strformat(": \"id\" %lld disagrees with its position %zu",
+                             static_cast<long long>(lj.at("id").as_int()), index));
+  }
+
+  const size_t arity = lj.contains("inputs") ? lj.at("inputs").as_array().size() : 0;
+  if (type == nn::OpType::Input) {
+    if (arity != 0) fail(where() + ": input layers take no \"inputs\"");
+    if (!lj.contains("shape") || !lj.at("shape").is_array() || lj.at("shape").size() != 3) {
+      fail(where() + ": input layers need \"shape\": [channels, height, width]");
+    }
+    for (const json::Value& d : lj.at("shape").as_array()) {
+      if (!d.is_int() || d.as_int() < 1) {
+        fail(where() + ": \"shape\" dimensions must be positive integers");
+      }
+    }
+  } else {
+    if (arity == 0) fail(where() + ": non-input layers need \"inputs\"");
+    if (type == nn::OpType::Add && arity != 2) {
+      fail(where() + strformat(": add takes exactly 2 inputs, got %zu", arity));
+    }
+    const bool single_input = type != nn::OpType::Add && type != nn::OpType::Concat;
+    if (single_input && arity != 1) {
+      fail(where() + strformat(": %s takes exactly 1 input, got %zu",
+                               nn::op_name(type), arity));
+    }
+  }
+  if (type == nn::OpType::Conv || type == nn::OpType::FullyConnected) {
+    if (lj.get_or("out_channels", int64_t{0}) < 1) {
+      fail(where() + ": conv/fc layers need a positive \"out_channels\"");
+    }
+    if (type == nn::OpType::Conv && lj.get_or("kernel", int64_t{0}) < 1) {
+      fail(where() + ": conv layers need a positive \"kernel\"");
+    }
+  }
+  if ((type == nn::OpType::MaxPool || type == nn::OpType::AvgPool) &&
+      lj.get_or("kernel", int64_t{0}) < 1) {
+    fail(where() + ": pooling layers need a positive \"kernel\"");
+  }
+  if (type == nn::OpType::Conv || type == nn::OpType::MaxPool || type == nn::OpType::AvgPool) {
+    // stride = 0 would divide by zero inside shape inference (SIGFPE, not a
+    // clean error); negative pads make no geometric sense.
+    if (lj.get_or("stride", int64_t{1}) < 1) {
+      fail(where() + ": \"stride\" must be >= 1");
+    }
+    if (lj.get_or("pad", int64_t{0}) < 0) {
+      fail(where() + ": \"pad\" must be >= 0");
+    }
+  }
+  if (has_weights != has_bias) {
+    fail(where() + ": \"weights\" and \"bias\" must be given together");
+  }
+}
+
+/// The Layer the checked fields `lj` describe, parameters aside.
+nn::Layer layer_from_json(const json::Value& lj) {
+  nn::Layer l;
+  l.type = nn::op_from_name(lj.at("type").as_string());
+  l.name = lj.get_or("name", "");
+  if (lj.contains("inputs")) {
+    for (const json::Value& i : lj.at("inputs").as_array()) {
+      l.inputs.push_back(static_cast<int32_t>(i.as_int()));
+    }
+  }
+  if (l.type == nn::OpType::Input) {
+    const json::Array& s = lj.at("shape").as_array();
+    l.out_shape = {static_cast<int32_t>(s.at(0).as_int()), static_cast<int32_t>(s.at(1).as_int()),
+                   static_cast<int32_t>(s.at(2).as_int())};
+    l.out_channels = l.out_shape.c;
+  }
+  l.out_channels = static_cast<int32_t>(lj.get_or("out_channels", l.out_channels));
+  if (lj.contains("kernel")) {
+    l.kernel_h = l.kernel_w = static_cast<int32_t>(lj.at("kernel").as_int());
+    l.stride_h = l.stride_w = static_cast<int32_t>(lj.get_or("stride", 1));
+    l.pad_h = l.pad_w = static_cast<int32_t>(lj.get_or("pad", 0));
+  }
+  l.out_shift = static_cast<int32_t>(lj.get_or("out_shift", 0));
+  return l;
 }
 
 /// `n` as a T when it is an integer T can hold. An integral double counts,
@@ -512,7 +511,13 @@ nn::Layer read_layer(json::Reader& r, size_t index) {
       fields[key] = r.read_value();
     }
   }
-  nn::Layer l = layer_from_json(fields, index, has_weights, has_bias);
+  nn::Layer l;
+  try {
+    check_layer_json(fields, index, has_weights, has_bias);
+    l = layer_from_json(fields);
+  } catch (const json::Error& e) {  // a field of the wrong JSON type
+    fail(layer_where(index, fields) + ": " + e.what());
+  }
   if (!problem.empty()) fail(layer_where(index, fields) + ": " + problem);
   l.weights = std::move(weights);
   l.bias = std::move(bias);
