@@ -223,10 +223,9 @@ class Reader {
   /// Require the end of the document (only whitespace and comments left).
   void finish();
 
+ private:
   /// Throw Error with the current line and column.
   [[noreturn]] void fail(const std::string& msg) const;
-
- private:
   char peek_char();
   void skip_ws();
   void expect(char c);
