@@ -242,8 +242,8 @@ class Reader {
 /// Parse a JSON document; throws Error with line/column info on failure.
 Value parse(std::string_view text);
 
-/// The whole file at `path`, read with one sized read; throws Error on I/O
-/// failure.
+/// The whole file at `path`: a regular file in one sized read, a pipe or a
+/// file of unreported size streamed to its end. Throws Error on I/O failure.
 std::string read_file(const std::string& path);
 
 /// Parse the file at `path`; throws Error (including on I/O failure).

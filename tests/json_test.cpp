@@ -1,10 +1,17 @@
 // Unit tests for the JSON module: parser, writer, accessors, error paths.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <csignal>
 #include <cstdio>
 #include <climits>
 #include <filesystem>
+#include <fstream>
 #include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "json/json.h"
@@ -193,7 +200,8 @@ TEST(JsonWriter, StreamedEventsMatchDump) {
 }
 
 TEST(JsonWriter, BulkIntegersMatchOneByOne) {
-  const std::vector<int8_t> bytes = {-128, -1, 0, 9, 10, 99, 100, 127};
+  std::vector<int8_t> bytes;  // every int8 value
+  for (int v = -128; v <= 127; ++v) bytes.push_back(static_cast<int8_t>(v));
   const std::vector<int32_t> words = {INT32_MIN, -1000, 0, 42, INT32_MAX};
   for (int indent : {-1, 2}) {
     std::string bulk, single;
@@ -293,6 +301,27 @@ TEST(JsonFile, WriteAndParseFile) {
   std::remove(path.c_str());
   EXPECT_THROW(parse_file(path), Error);
   EXPECT_THROW(read_file(path), Error);
+}
+
+TEST(JsonFile, ReadsAPipeToItsEnd) {
+  // A FIFO can neither seek nor report a size, like `--arch <(...)` or
+  // /dev/stdin. The document spans several pipe buffers.
+  const std::string path = std::filesystem::temp_directory_path() /
+                           ("pim_json_test_fifo." + std::to_string(::getpid()));
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::string text = "[0";
+  for (int i = 1; i < 50000; ++i) text += "," + std::to_string(i);
+  text += "]";
+  // A reader that gives up early must fail the test, not kill it.
+  std::signal(SIGPIPE, SIG_IGN);
+  std::thread writer([&] { std::ofstream(path, std::ios::binary) << text; });
+  std::string read;
+  EXPECT_NO_THROW(read = read_file(path));
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_EQ(read.size(), text.size());
+  EXPECT_TRUE(read == text);
 }
 
 TEST(JsonParse, BigIntegersExact) {
