@@ -1,7 +1,7 @@
 // Kernel stress — raw event throughput of the pim::sim scheduler.
 //
 // Every simulated picosecond in this repository funnels through
-// sim::Kernel::step(), so scheduler throughput multiplies every bench,
+// sim::Kernel::run(), so scheduler throughput multiplies every bench,
 // every pimbatch sweep and every pimdse evaluation. This harness measures
 // events/second on four synthetic workloads that isolate the kernel's hot
 // paths from the architecture model:

@@ -18,20 +18,6 @@ using namespace pim;
 
 // ---------------------------------------------------------------- DES kernel
 
-void BM_KernelCallback(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Kernel k;
-    uint64_t counter = 0;
-    for (int i = 0; i < 1000; ++i) {
-      k.call_at(static_cast<sim::Time>(i), [&counter] { ++counter; });
-    }
-    k.run();
-    benchmark::DoNotOptimize(counter);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_KernelCallback);
-
 sim::Process delay_chain(sim::Kernel& k, int hops, uint64_t& out) {
   for (int i = 0; i < hops; ++i) {
     co_await k.delay(1);

@@ -24,7 +24,7 @@ message("stderr: ${_err}")
 if(_rc EQUAL 0)
   message(FATAL_ERROR "${CMD} exited 0 on a failure path (must be non-zero)")
 endif()
-if(DEFINED CODE AND NOT _rc EQUAL ${CODE})
+if(DEFINED CODE AND NOT _rc EQUAL "${CODE}")
   message(FATAL_ERROR "${CMD} exited ${_rc} (expected ${CODE})")
 endif()
 string(FIND "${_err}" "${EXPECT}" _pos)

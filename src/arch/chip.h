@@ -22,7 +22,8 @@ namespace pim::arch {
 class Chip {
  public:
   /// The program must outlive the chip. Throws std::invalid_argument when
-  /// the program fails structural verification against `cfg`.
+  /// the program fails structural verification against `cfg`. This is the
+  /// one verification every program gets, compiled, loaded or hand-built.
   ///
   /// `trace`, when non-null, receives the structural timeline of the run
   /// (pid = this chip; tids = core units, NoC links, layer phases) and must

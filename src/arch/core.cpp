@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <coroutine>
 #include <cstring>
 #include <stdexcept>
 
@@ -72,6 +73,7 @@ Core::Core(sim::Kernel& kernel, const config::ArchConfig& cfg, uint16_t id, Chip
 void Core::start() {
   if (program_.code.empty()) return;
   started_ = true;
+  scan_proc_ = scan_loop();
   kernel_.spawn(dispatch_proc());
 }
 
@@ -243,13 +245,18 @@ void Core::arm(RobEntry& e) {
   }
 }
 
+sim::Process Core::scan_loop() {
+  for (;;) {
+    scan_scheduled_ = false;
+    scan();
+    co_await std::suspend_always{};
+  }
+}
+
 void Core::request_scan() {
   if (scan_scheduled_) return;
   scan_scheduled_ = true;
-  kernel_.call_at(kernel_.now(), [this] {
-    scan_scheduled_ = false;
-    scan();
-  });
+  kernel_.resume_at(kernel_.now(), scan_proc_.handle());
 }
 
 void Core::scan() {

@@ -115,6 +115,9 @@ class Core {
   sim::Process exec_vector(RobEntry& e);
   sim::Process exec_transfer(RobEntry& e);
   sim::Process exec_scalar(RobEntry& e);
+  /// Runs scan() once per resumption, forever. Never spawned: request_scan()
+  /// resumes it through the kernel, and scan_proc_ owns the frame.
+  sim::Process scan_loop();
 
   // -- ROB machinery ----------------------------------------------------------
   void fill_hazard_info(RobEntry& e) const;
@@ -124,6 +127,7 @@ class Core {
   /// Count `e`'s deps against the older non-Done entries and join their
   /// wakeup lists.
   void arm(RobEntry& e);
+  /// Queue one scan at the current time, unless one is already queued.
   void request_scan();
   void scan();  ///< retire from head, then issue ready class heads
   void issue(RobEntry& e);
@@ -169,6 +173,7 @@ class Core {
   sim::Event rob_slot_freed_;
   sim::Event branch_resolved_;
   int32_t branch_target_ = -1;  ///< -1 = fall-through, else new pc
+  sim::Process scan_proc_;  ///< the scan_loop() frame, created by start()
   bool scan_scheduled_ = false;
   bool dispatch_done_ = false;
   bool halted_ = false;

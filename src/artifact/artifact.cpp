@@ -8,7 +8,11 @@ namespace pim::artifact {
 std::string compile_relevant_arch(const config::ArchConfig& cfg) {
   // Exactly the fields compiler::compile and Program::verify read — keep in
   // lockstep with src/compiler/{mapping,codegen}.cpp and isa/program.cpp
-  // (tests/artifact_test.cpp pins the set from both directions).
+  // (tests/artifact_test.cpp pins the set from both directions). compile
+  // reads neither the register count nor the global-memory size; the key
+  // keeps them because arch::Chip verifies every program against them before
+  // it runs, so one stored program is shared only by configurations that
+  // accept or reject it alike, and keys already in result caches stay valid.
   json::Value v;
   v["core_count"] = json::Value(cfg.core_count);
   v["xbar_count"] = json::Value(cfg.core.matrix.xbar_count);

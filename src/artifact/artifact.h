@@ -48,12 +48,13 @@
 
 namespace pim::artifact {
 
-/// Canonical JSON of the ArchConfig fields compiler::compile (and the
-/// Program::verify pass codegen runs) actually read: core count, crossbar
-/// geometry and count, local-memory size, register-file size, global-memory
-/// size. Everything else — frequencies, energies, ROB size, NoC parameters,
-/// ADC/vector-unit settings, SimSettings — is simulation-side only, so two
-/// configurations differing solely in those share one compile identity.
+/// Canonical JSON of the ArchConfig fields compiler::compile and
+/// Program::verify (run by arch::Chip on every program) read: core count,
+/// crossbar geometry and count, local-memory size, register-file size,
+/// global-memory size. Everything else — frequencies, energies, ROB size,
+/// NoC parameters, ADC/vector-unit settings, SimSettings — is
+/// simulation-side only, so two configurations differing solely in those
+/// share one compile identity.
 std::string compile_relevant_arch(const config::ArchConfig& cfg);
 
 /// fnv1a64 of compile_relevant_arch(cfg).

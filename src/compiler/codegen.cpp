@@ -786,12 +786,6 @@ isa::Program compile(const nn::Graph& graph, const config::ArchConfig& cfg,
                      const CompileOptions& options, CompileReport* report) {
   Codegen cg(graph, cfg, options);
   isa::Program program = cg.run(report);
-  std::vector<std::string> errors = program.verify(cfg);
-  if (!errors.empty()) {
-    std::string msg = "compiler produced an invalid program:\n";
-    for (size_t i = 0; i < errors.size() && i < 10; ++i) msg += "  " + errors[i] + "\n";
-    throw std::logic_error(msg);
-  }
   PIM_LOG(Info) << "compiled " << graph.name() << " (" << policy_name(options.policy)
                 << "): " << program.total_instructions() << " instructions, "
                 << program.total_groups() << " groups";

@@ -69,7 +69,8 @@ struct CompileReport {
 
 /// Compile `graph` for `cfg`. The graph must have shapes inferred and (for
 /// functional simulation) parameters initialized. Throws on infeasible
-/// mappings or local-memory overflow.
+/// mappings or local-memory overflow. The program is not verified here:
+/// arch::Chip verifies every program, compiled or loaded, before it runs.
 isa::Program compile(const nn::Graph& graph, const config::ArchConfig& cfg,
                      const CompileOptions& options = {}, CompileReport* report = nullptr);
 

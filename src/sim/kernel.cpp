@@ -98,29 +98,6 @@ void Kernel::spawn(Process process) {
   schedule_now(h);
 }
 
-uint32_t Kernel::fn_park(std::function<void()> fn) {
-  uint32_t slot;
-  if (!fn_free_.empty()) {
-    slot = fn_free_.back();
-    fn_free_.pop_back();
-    fn_slots_[slot] = std::move(fn);
-  } else {
-    slot = static_cast<uint32_t>(fn_slots_.size());
-    fn_slots_.push_back(std::move(fn));
-  }
-  return slot;
-}
-
-void Kernel::call_at(Time t, std::function<void()> fn) {
-  const uint32_t slot = fn_park(std::move(fn));
-  const uint64_t seq = seq_++;
-  if (t <= now_) {
-    ring_push(RingItem{nullptr, seq, slot + 1});
-  } else {
-    heap_push(HeapEntry{t, seq, nullptr, slot + 1});
-  }
-}
-
 void Kernel::ring_grow() {
   const size_t old_cap = ring_.size();
   const size_t new_cap = old_cap == 0 ? 16 : old_cap * 2;  // stays a power of two
@@ -152,47 +129,6 @@ Kernel::HeapEntry Kernel::heap_pop() {
   return top;
 }
 
-void Kernel::run_callback(uint32_t fn) {
-  // Move the callback out before invoking: the body may call_at and reuse
-  // the slot.
-  std::function<void()> f = std::move(fn_slots_[fn - 1]);
-  fn_free_.push_back(fn - 1);
-  f();
-}
-
-bool Kernel::step() {
-  Time t;
-  uint64_t seq;
-  void* h;
-  uint32_t fn;
-  if (!heap_.empty() && heap_.front().t == now_) {
-    // Heap entries at the current time were all scheduled before time
-    // advanced here, so their seq numbers precede every ring entry's.
-    const HeapEntry e = heap_pop();
-    t = e.t;
-    seq = e.seq;
-    h = e.h;
-    fn = e.fn;
-  } else if (ring_count_ > 0) {
-    const RingItem item = ring_pop();
-    t = now_;
-    seq = item.seq;
-    h = item.h;
-    fn = item.fn;
-  } else if (!heap_.empty()) {
-    const HeapEntry e = heap_pop();
-    now_ = e.t;
-    t = e.t;
-    seq = e.seq;
-    h = e.h;
-    fn = e.fn;
-  } else {
-    return false;
-  }
-  exec(t, seq, h, fn);
-  return true;
-}
-
 Time Kernel::run(Time until) {
   // Batch-drain loop. Two invariants let the per-event checks hoist out of
   // the inner loops: (1) ring entries always live at the current time, and
@@ -211,12 +147,13 @@ Time Kernel::run(Time until) {
       break;
     }
     if (!heap_.empty() && heap_.front().t == now_) {
-      // Leftover same-time heap entries (possible after a bare step() that
-      // advanced time). Their seqs precede every ring entry's — drain first.
+      // Same-time heap entries left by a run that stopped after advancing
+      // the clock: run(until)'s clamp onto an event time, or the watchdog.
+      // Their seqs precede every ring entry's — drain first.
       if (now_ >= until) break;  // `until` is exclusive
       do {
         const HeapEntry e = heap_pop();
-        exec(e.t, e.seq, e.h, e.fn);
+        exec(e.t, e.seq, e.h);
       } while (!heap_.empty() && heap_.front().t == now_);
       continue;
     }
@@ -225,7 +162,7 @@ Time Kernel::run(Time until) {
       if (!wall_armed_) {
         do {
           const RingItem item = ring_pop();
-          exec(now_, item.seq, item.h, item.fn);
+          exec(now_, item.seq, item.h);
         } while (ring_count_ > 0);
       } else {
         // Armed: cap the drain so a ring that perpetually refills (events
@@ -234,7 +171,7 @@ Time Kernel::run(Time until) {
         size_t budget = 4096;
         do {
           const RingItem item = ring_pop();
-          exec(now_, item.seq, item.h, item.fn);
+          exec(now_, item.seq, item.h);
         } while (ring_count_ > 0 && --budget > 0);
       }
       continue;

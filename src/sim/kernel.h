@@ -18,23 +18,24 @@
 //
 // Scheduler architecture (the hot path of every simulation in this repo):
 //
+//   * One event kind. Every pending event is a coroutine resumption; there
+//     are no parked callbacks. A model that needs a one-shot action at a
+//     time owns a process for it and schedules it with `resume_at`.
 //   * Two tiers. Events scheduled at the *current* time — the dominant case:
 //     `Event::notify`, `Resource::release` hand-off, `spawn` — go into a FIFO
-//     ring buffer and never touch the heap. Only future-time events enter a
-//     binary min-heap of small POD entries `{time, seq, handle}` ordered by
-//     (time, seq). Because simulated time is monotone, every heap entry at
-//     the current time was scheduled (and numbered) before every ring entry,
-//     so draining heap-at-now before the ring reproduces exactly the global
-//     (time, seq) firing order of a single ordered queue.
+//     ring buffer of 16-byte `{handle, seq}` items and never touch the heap.
+//     Only future-time events enter a binary min-heap of 24-byte POD entries
+//     `{time, seq, handle}` ordered by (time, seq). Because simulated time is
+//     monotone, every heap entry at the current time was scheduled (and
+//     numbered) before every ring entry, so draining heap-at-now before the
+//     ring reproduces exactly the global (time, seq) firing order of a
+//     single ordered queue.
 //   * No third tier. A hierarchical bucketed tier for near-future events
 //     (Varghese & Lauck) between ring and heap was tried and removed: it ran
 //     the synthetic all-timers microbench ~2.5x faster, but end to end it
 //     was noise. Over 12 interleaved rounds of 13 cold timing-only zoo runs,
 //     ring + heap took a median 3.17 s per round against 3.31 s with the
 //     extra tier, with overlapping quartiles and byte-identical reports.
-//   * Callbacks out of line. `call_at` parks its `std::function` in a slot
-//     table and schedules only the slot index, so no `std::function` is ever
-//     moved during heap sifts.
 //   * Intrusive bookkeeping. `Event`/`Resource` waiter FIFOs and the kernel's
 //     live-process set are singly/doubly-linked lists threaded through the
 //     coroutine promise (`Process::promise_type`); steady-state simulation
@@ -54,7 +55,6 @@
 #include <chrono>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -130,6 +130,11 @@ class Process {
   ~Process() { destroy(); }
 
   bool valid() const { return static_cast<bool>(handle_); }
+
+  /// The frame, for a process its owner resumes itself with
+  /// `Kernel::resume_at` rather than spawning or awaiting it. The owner
+  /// keeps this Process, which frees the frame; the kernel never does.
+  std::coroutine_handle<> handle() const { return handle_; }
 
   /// Awaiting a child: start it now and resume the caller when it finishes.
   struct Awaiter {
@@ -261,17 +266,13 @@ class Kernel {
   /// current time (after already-pending same-time events).
   void spawn(Process process);
 
-  /// Schedule a plain callback at absolute time `t` (must be >= now();
-  /// earlier times are clamped to the current time).
-  void call_at(Time t, std::function<void()> fn);
-
   /// Schedule a coroutine resumption at absolute time `t` (clamped to now()).
   void resume_at(Time t, std::coroutine_handle<> h) {
     const uint64_t seq = seq_++;
     if (t <= now_) {
-      ring_push(RingItem{h.address(), seq, 0});
+      ring_push(RingItem{h.address(), seq});
     } else {
-      heap_push(HeapEntry{t, seq, h.address(), 0});
+      heap_push(HeapEntry{t, seq, h.address()});
     }
   }
 
@@ -298,9 +299,6 @@ class Kernel {
   }
   /// True when the last run() was abandoned by the wall-clock watchdog.
   bool wall_expired() const { return wall_expired_; }
-
-  /// Execute exactly one pending event. Returns false if the queue is empty.
-  bool step();
 
   bool empty() const { return ring_count_ == 0 && heap_.empty(); }
   uint64_t events_executed() const { return events_executed_; }
@@ -338,21 +336,18 @@ class Kernel {
   void on_process_finished(Process::Handle h);
 
   /// Same-delta fast path: FIFO-schedule a resumption at the current time.
-  void schedule_now(Process::Handle h) { ring_push(RingItem{h.address(), seq_++, 0}); }
+  void schedule_now(Process::Handle h) { ring_push(RingItem{h.address(), seq_++}); }
 
-  // One pending event. `h` is a coroutine frame address to resume; when
-  // null, `fn` is 1 + the index of a parked callback in `fn_slots_`. POD on
-  // purpose: heap sifts move 32 bytes, never a std::function.
+  // One pending event: the coroutine frame address to resume. POD on
+  // purpose: heap sifts move 24 bytes.
   struct RingItem {
     void* h;
     uint64_t seq;
-    uint32_t fn;
   };
   struct HeapEntry {
     Time t;
     uint64_t seq;
     void* h;
-    uint32_t fn;
   };
   static bool heap_less(const HeapEntry& a, const HeapEntry& b) {
     return a.t < b.t || (a.t == b.t && a.seq < b.seq);
@@ -384,28 +379,19 @@ class Kernel {
   }
   HeapEntry heap_pop();
 
-  uint32_t fn_park(std::function<void()> fn);
-  void run_callback(uint32_t fn);
-
   /// Account for and dispatch one event (hot: inlined into run()'s loops).
-  void exec(Time t, uint64_t seq, void* h, uint32_t fn) {
+  void exec(Time t, uint64_t seq, void* h) {
     ++events_executed_;
     fingerprint_ = (fingerprint_ ^ t) * 0x100000001b3ull;
     fingerprint_ = (fingerprint_ ^ seq) * 0x100000001b3ull;
-    if (h != nullptr) {
-      std::coroutine_handle<>::from_address(h).resume();
-    } else {
-      run_callback(fn);
-    }
+    std::coroutine_handle<>::from_address(h).resume();
   }
 
   std::vector<RingItem> ring_;  // power-of-two circular buffer; [head, head+count)
   size_t ring_head_ = 0;
   size_t ring_count_ = 0;
-  std::vector<HeapEntry> heap_;                  // binary min-heap on (t, seq)
-  std::vector<std::function<void()>> fn_slots_;  // parked call_at callbacks
-  std::vector<uint32_t> fn_free_;                // free slot indices
-  Process::promise_type* live_head_ = nullptr;   // unfinished spawned processes
+  std::vector<HeapEntry> heap_;                 // binary min-heap on (t, seq)
+  Process::promise_type* live_head_ = nullptr;  // unfinished spawned processes
   size_t live_count_ = 0;
   // True while ~Kernel destroys suspended frames. Wait-queue nodes live in
   // coroutine promises, so once teardown starts, Event/Resource wake paths

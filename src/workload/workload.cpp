@@ -418,6 +418,17 @@ void check_layer_json(const json::Value& lj, size_t index, bool has_weights, boo
   }
 }
 
+/// `v`, the value of `field`, as an int32. A plain cast would wrap
+/// silently (4294967298 -> 2), so out-of-range values throw; read_layer
+/// names the layer.
+int32_t to_i32(int64_t v, const char* field) {
+  if (v < std::numeric_limits<int32_t>::min() || v > std::numeric_limits<int32_t>::max()) {
+    throw json::Error(strformat("\"%s\" value %lld does not fit in 32 bits", field,
+                                static_cast<long long>(v)));
+  }
+  return static_cast<int32_t>(v);
+}
+
 /// The Layer the checked fields `lj` describe, parameters aside.
 nn::Layer layer_from_json(const json::Value& lj) {
   nn::Layer l;
@@ -425,22 +436,22 @@ nn::Layer layer_from_json(const json::Value& lj) {
   l.name = lj.get_or("name", "");
   if (lj.contains("inputs")) {
     for (const json::Value& i : lj.at("inputs").as_array()) {
-      l.inputs.push_back(static_cast<int32_t>(i.as_int()));
+      l.inputs.push_back(to_i32(i.as_int(), "inputs"));
     }
   }
   if (l.type == nn::OpType::Input) {
     const json::Array& s = lj.at("shape").as_array();
-    l.out_shape = {static_cast<int32_t>(s.at(0).as_int()), static_cast<int32_t>(s.at(1).as_int()),
-                   static_cast<int32_t>(s.at(2).as_int())};
+    l.out_shape = {to_i32(s.at(0).as_int(), "shape"), to_i32(s.at(1).as_int(), "shape"),
+                   to_i32(s.at(2).as_int(), "shape")};
     l.out_channels = l.out_shape.c;
   }
-  l.out_channels = static_cast<int32_t>(lj.get_or("out_channels", l.out_channels));
+  l.out_channels = to_i32(lj.get_or("out_channels", l.out_channels), "out_channels");
   if (lj.contains("kernel")) {
-    l.kernel_h = l.kernel_w = static_cast<int32_t>(lj.at("kernel").as_int());
-    l.stride_h = l.stride_w = static_cast<int32_t>(lj.get_or("stride", 1));
-    l.pad_h = l.pad_w = static_cast<int32_t>(lj.get_or("pad", 0));
+    l.kernel_h = l.kernel_w = to_i32(lj.at("kernel").as_int(), "kernel");
+    l.stride_h = l.stride_w = to_i32(lj.get_or("stride", 1), "stride");
+    l.pad_h = l.pad_w = to_i32(lj.get_or("pad", 0), "pad");
   }
-  l.out_shift = static_cast<int32_t>(lj.get_or("out_shift", 0));
+  l.out_shift = to_i32(lj.get_or("out_shift", 0), "out_shift");
   return l;
 }
 
@@ -515,7 +526,7 @@ nn::Layer read_layer(json::Reader& r, size_t index) {
   try {
     check_layer_json(fields, index, has_weights, has_bias);
     l = layer_from_json(fields);
-  } catch (const json::Error& e) {  // a field of the wrong JSON type
+  } catch (const json::Error& e) {  // a field of the wrong JSON type or range
     fail(layer_where(index, fields) + ": " + e.what());
   }
   if (!problem.empty()) fail(layer_where(index, fields) + ": " + problem);

@@ -3,6 +3,7 @@
 // hazards, rendezvous transfers, global memory, deadlock detection.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <random>
@@ -879,6 +880,47 @@ TEST(Chip, InvalidProgramRejectedAtConstruction) {
   p.cores[0].code.push_back(mvm);
   push_halt(p, 0);
   EXPECT_THROW(Chip(tiny_cfg(), p), std::invalid_argument);
+}
+
+TEST(Chip, TeardownMidRunWithQueuedScansIsClean) {
+  // A run cut short by the wall-clock watchdog stops between two batches of
+  // same-time events, so a core's scan process can still be queued in the
+  // kernel when the chip is destroyed. The core owns that frame and frees
+  // it; the kernel frees only the spawned processes. A deadline already
+  // past makes every cut deterministic: each run() stops at its 64th drain
+  // batch, and with this program the third cut leaves both cores' scans
+  // queued. The sanitizer jobs fail on any leaked, doubly freed or touched
+  // freed frame.
+  Program p = empty_program(2);
+  for (size_t core = 0; core < 2; ++core) {
+    for (uint16_t i = 0; i < 8; ++i) {
+      isa::GroupDef g;
+      g.id = i;
+      g.in_len = 32;
+      g.out_len = 32;
+      g.xbar_count = 1;
+      p.cores[core].groups.push_back(g);
+    }
+    for (uint16_t n = 0; n < 64; ++n) {
+      const uint16_t i = n % 8;
+      Instruction mvm = make(Opcode::MVM);
+      mvm.group = i;
+      mvm.dst_addr = 0x1000 + 0x100u * i;
+      mvm.len = 32;
+      p.cores[core].code.push_back(mvm);
+      p.cores[core].code.push_back(vec_op(Opcode::VADD, 0x2000 + 0x100u * i,
+                                          0x1000 + 0x100u * i, 0x1000 + 0x100u * i, 32));
+    }
+    push_halt(p, core);
+  }
+  for (int cuts = 1; cuts <= 8; ++cuts) {
+    Chip chip(tiny_cfg(), p);
+    chip.kernel().arm_wall_watchdog(std::chrono::steady_clock::time_point{});
+    chip.run();
+    for (int i = 1; i < cuts; ++i) chip.kernel().run();
+    EXPECT_TRUE(chip.wall_expired());
+    EXPECT_FALSE(chip.finished()) << "cut " << cuts << " must stop mid-run";
+  }
 }
 
 TEST(Chip, StaticEnergyScalesWithTime) {

@@ -364,6 +364,21 @@ TEST(LoaderTest, RejectsMalformedGraphs) {
   const std::string bad_kernel = error_of(R"({"layers": [{"type": "input", "shape": [3, 8, 8]},
       {"type": "conv", "name": "c1", "inputs": [0], "out_channels": 4, "kernel": "3"}]})");
   EXPECT_NE(bad_kernel.find("layer 1 ('c1')"), std::string::npos) << bad_kernel;
+  // Geometry integers must fit the layer's int32 fields; a cast used to wrap
+  // them: out_channels 4294967298 loaded as 2, input index 4294967296
+  // rewired to layer 0, out_shift 4294967297 loaded as 1.
+  for (const auto& [field, fc] : std::vector<std::pair<std::string, std::string>>{
+           {"\"out_channels\" value 4294967298",
+            R"("inputs": [0], "out_channels": 4294967298)"},
+           {"\"inputs\" value 4294967296", R"("inputs": [4294967296], "out_channels": 2)"},
+           {"\"out_shift\" value 4294967297",
+            R"("inputs": [0], "out_channels": 2, "out_shift": 4294967297)"}}) {
+    const std::string text = R"({"layers": [{"type": "input", "shape": [2, 1, 1]},
+        {"type": "fc", "name": "head", )" + fc + "}]}";
+    const std::string wrapped = error_of(text.c_str());
+    EXPECT_NE(wrapped.find("layer 1 ('head')"), std::string::npos) << wrapped;
+    EXPECT_NE(wrapped.find(field), std::string::npos) << wrapped;
+  }
   const std::string syntax = error_of(R"({"layers": [{"type": "input", "shape": [3, 8, 8]} {}]})");
   EXPECT_NE(syntax.find("line 1"), std::string::npos) << syntax;
 
